@@ -4,11 +4,12 @@ The classic solver minimises
 ``0.5 * ||A(X) - b||^2 + lambda * ||X||_nuclear`` with an auxiliary
 variable and a scaled multiplier, alternating a singular value shrinkage
 step, a closed-form Cartesian data-consistency step, and a multiplier
-update. A generalised variant runs the same loop with per-iteration
-hyperparameters: per-slice thresholds (absolute, or relative to each
-slice's largest singular value through a sigmoid weight), a data weight
-``gamma`` replacing ``1/mu`` so that ``gamma = 0`` stays well defined,
-and optionally a different unitary transform per iteration.
+update. A generalised variant runs the same loop, :func:`_run`, with
+per-iteration hyperparameters: per-slice thresholds (absolute, or
+relative to each slice's largest singular value through a sigmoid
+weight), a data weight ``gamma`` replacing ``1/mu`` so that ``gamma = 0``
+stays well defined, and optionally a different unitary transform per
+iteration; classic mode is its constant schedule.
 """
 
 from __future__ import annotations
@@ -236,6 +237,63 @@ def _iteration_stats(
     return IterationStats(n, objective, fidelity, nuclear, primal, elapsed_ms)
 
 
+def _run(
+    b: KSpaceVector,
+    spec: SamplingSpec,
+    plan,
+    rel_tol: float,
+    record_history: bool,
+    report_lambda: float,
+    threads: int,
+) -> ReconReport:
+    """The ADMM loop behind both solvers.
+
+    Runs one iteration per ``(IterationParams, transform, x_step)`` entry
+    of ``plan``; ``x_step(z, l)`` is the data-consistency step.
+    """
+    _check_kspace(b, spec)
+    nt = spec.dims[2]
+    x = adjoint(b)
+    l = ComplexTensor3.zeros(spec.dims)
+    history: list[IterationStats] = []
+    iterations = 0
+    for n, (params, transform, x_step) in enumerate(plan, start=1):
+        if transform.size != nt:
+            raise DimensionError(
+                f"iteration {n} transform size {transform.size} does not match nt={nt}"
+            )
+        tic = time.perf_counter()
+        y = x + l
+        if params.tau is not None:
+            tau = params.tau
+        else:
+            tau = relative_thresholds(y, params.a, transform)
+        z = t_tsvt(y, tau, transform, threads=threads)
+        del y  # free it before the data step to keep peak memory down
+        x_new = x_step(z, l)
+        l = l_update(l, z, x_new, params.eta)
+        elapsed_ms = (time.perf_counter() - tic) * 1e3
+        iterations = n
+        rel = _relative_change(x_new, x)
+        x = x_new
+        if not (_all_finite(x) and _all_finite(z) and _all_finite(l)):
+            raise DivergenceError(
+                f"non-finite iterate at iteration {n}", iteration=n
+            )
+        if record_history:
+            stats = _iteration_stats(
+                n, x, z, b, spec, transform, report_lambda, elapsed_ms
+            )
+            if not np.isfinite(stats.objective):
+                raise DivergenceError(
+                    f"non-finite objective at iteration {n}", iteration=n
+                )
+            history.append(stats)
+        if rel < rel_tol:
+            break
+    return ReconReport(x, iterations, history)
+
+
 def solve(
     b: KSpaceVector,
     spec: SamplingSpec,
@@ -248,7 +306,8 @@ def solve(
     Starts at ``X0 = A^H(b)``, ``Z0 = X0``, ``L0 = 0`` and iterates the
     shrinkage, data-consistency, and multiplier steps in that order until
     the relative change of ``X`` drops below ``rel_tol`` or ``max_iters``
-    is reached.
+    is reached. This is the generalised loop with the constant schedule
+    ``tau = lam/mu``, ``gamma = 1/mu`` and a fixed ``eta`` and transform.
 
     ``x_solver`` swaps in a user-supplied routine for the
     data-consistency step, for acquisition operators without the
@@ -262,39 +321,15 @@ def solve(
         If any iterate or reported quantity becomes non-finite; the
         iteration index is attached.
     """
-    _check_kspace(b, spec)
     if x_solver is None:
         x_solver = x_update_cartesian
-    x = adjoint(b)
-    z = x
-    l = ComplexTensor3.zeros(spec.dims)
-    history: list[IterationStats] = []
-    iterations = 0
-    for n in range(1, config.max_iters + 1):
-        tic = time.perf_counter()
-        z = z_update(x, l, config.lam, config.mu, config.transform, threads=threads)
-        x_new = x_solver(z, l, b, spec, config.mu)
-        l = l_update(l, z, x_new, config.eta)
-        elapsed_ms = (time.perf_counter() - tic) * 1e3
-        iterations = n
-        rel = _relative_change(x_new, x)
-        x = x_new
-        if not (_all_finite(x) and _all_finite(z) and _all_finite(l)):
-            raise DivergenceError(
-                f"non-finite iterate at iteration {n}", iteration=n
-            )
-        if config.record_history:
-            stats = _iteration_stats(
-                n, x, z, b, spec, config.transform, config.lam, elapsed_ms
-            )
-            if not np.isfinite(stats.objective):
-                raise DivergenceError(
-                    f"non-finite objective at iteration {n}", iteration=n
-                )
-            history.append(stats)
-        if rel < config.rel_tol:
-            break
-    return ReconReport(x, iterations, history)
+    mu = config.mu
+    params = IterationParams(gamma=1.0 / mu, eta=config.eta, tau=config.lam / mu)
+    entry = (params, config.transform, lambda z, l: x_solver(z, l, b, spec, mu))
+    return _run(
+        b, spec, [entry] * config.max_iters, config.rel_tol,
+        config.record_history, config.lam, threads,
+    )
 
 
 def solve_generalized(
@@ -318,44 +353,12 @@ def solve_generalized(
     """
     if not schedule:
         raise ParameterError("schedule must contain at least one entry")
-    _check_kspace(b, spec)
-    nt = spec.dims[2]
-    x = adjoint(b)
-    l = ComplexTensor3.zeros(spec.dims)
-    history: list[IterationStats] = []
-    iterations = 0
-    for n, params in enumerate(schedule, start=1):
-        transform = params.transform if params.transform is not None else init_transform
-        if transform.size != nt:
-            raise DimensionError(
-                f"iteration {n} transform size {transform.size} does not match nt={nt}"
-            )
-        tic = time.perf_counter()
-        y = x + l
-        if params.tau is not None:
-            tau = params.tau
-        else:
-            tau = relative_thresholds(y, params.a, transform)
-        z = t_tsvt(y, tau, transform, threads=threads)
-        x_new = x_update_gamma(z, l, b, spec, params.gamma)
-        l = l_update(l, z, x_new, params.eta)
-        elapsed_ms = (time.perf_counter() - tic) * 1e3
-        iterations = n
-        rel = _relative_change(x_new, x)
-        x = x_new
-        if not (_all_finite(x) and _all_finite(z) and _all_finite(l)):
-            raise DivergenceError(
-                f"non-finite iterate at iteration {n}", iteration=n
-            )
-        if record_history:
-            stats = _iteration_stats(
-                n, x, z, b, spec, transform, report_lambda, elapsed_ms
-            )
-            if not np.isfinite(stats.objective):
-                raise DivergenceError(
-                    f"non-finite objective at iteration {n}", iteration=n
-                )
-            history.append(stats)
-        if rel_tol > 0 and rel < rel_tol:
-            break
-    return ReconReport(x, iterations, history)
+    plan = [
+        (
+            params,
+            params.transform if params.transform is not None else init_transform,
+            lambda z, l, gamma=params.gamma: x_update_gamma(z, l, b, spec, gamma),
+        )
+        for params in schedule
+    ]
+    return _run(b, spec, plan, rel_tol, record_history, report_lambda, threads)

@@ -15,7 +15,7 @@ import scipy.linalg
 
 from . import admm, mri, tsvd
 from .tensor import ComplexTensor3, bdiag, fold, frobenius_norm, inner_product
-from .transforms import make_transform
+from .transforms import _random_tensor, _random_unitary, check_unitarity, make_transform
 
 __all__ = ["CheckResult", "run_checks", "LEVELS"]
 
@@ -27,18 +27,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _rand_tensor(rng, dims):
-    n1, n2, n3 = dims
-    return ComplexTensor3._wrap(
-        rng.standard_normal((n3, n1, n2)) + 1j * rng.standard_normal((n3, n1, n2))
-    )
-
-
-def _random_unitary(rng, n):
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def _transform_set(n3, rng):
@@ -58,8 +46,8 @@ def _check_tensor_algebra(level):
     worst = 0.0
     for _ in range(trials):
         dims = tuple(int(d) for d in rng.integers(1, 7, size=3))
-        a = _rand_tensor(rng, dims)
-        b = _rand_tensor(rng, dims)
+        a = _random_tensor(rng, dims)
+        b = _random_tensor(rng, dims)
         if not np.array_equal(fold(bdiag(a)).slices, a.slices):
             return False, "fold(bdiag(X)) differs from X"
         sym = abs(inner_product(a, b) - np.conj(inner_product(b, a)))
@@ -77,16 +65,11 @@ def _check_tensor_algebra(level):
 def _check_transform_isometry(level):
     rng = np.random.default_rng(12)
     trials = 3 if level == "quick" else 10
-    worst = 0.0
-    for n3 in (1, 2, 5, 8):
-        for t in _transform_set(n3, rng):
-            for _ in range(trials):
-                x = _rand_tensor(rng, (5, 4, n3))
-                xh = t.apply(x)
-                nx_ = frobenius_norm(x)
-                worst = max(worst, abs(frobenius_norm(xh) - nx_) / nx_)
-                back = t.apply_adjoint(xh)
-                worst = max(worst, frobenius_norm(back - x) / nx_)
+    worst = max(
+        check_unitarity(t, trials, seed=12).max_deviation
+        for n3 in (1, 2, 5, 8)
+        for t in _transform_set(n3, rng)
+    )
     return worst <= 1e-12, f"max relative deviation {worst:.3e}"
 
 
@@ -96,7 +79,7 @@ def _check_dct_real(level):
     x = ComplexTensor3(rng.standard_normal((6, 4, 3)).astype(np.complex128))
     worst = float(np.abs(t.apply(x).slices.imag).max())
     fft1 = make_transform("fft", 1)
-    y = _rand_tensor(rng, (4, 3, 1))
+    y = _random_tensor(rng, (4, 3, 1))
     ident = float(np.abs(fft1.apply(y).slices - y.slices).max())
     ok = worst <= 1e-12 and ident <= 1e-12
     return ok, f"dct imag {worst:.3e}, fft(n3=1) identity dev {ident:.3e}"
@@ -110,7 +93,7 @@ def _check_tsvd_exactness(level):
         n3 = int(rng.integers(1, 7))
         dims = (int(rng.integers(2, 9)), int(rng.integers(2, 9)), n3)
         for t in _transform_set(n3, rng):
-            x = _rand_tensor(rng, dims)
+            x = _random_tensor(rng, dims)
             fac = tsvd.tt_svd(x, t)
             vh = tsvd.tensor_hermitian_transpose(fac.V, t)
             rec = tsvd.t_product(fac.U, tsvd.t_product(fac.S, vh, t), t)
@@ -128,7 +111,7 @@ def _check_ttnn_matrix_invariance(level):
     worst = 0.0
     for _ in range(trials):
         n3 = int(rng.integers(2, 7))
-        x = _rand_tensor(rng, (int(rng.integers(2, 8)), int(rng.integers(2, 8)), n3))
+        x = _random_tensor(rng, (int(rng.integers(2, 8)), int(rng.integers(2, 8)), n3))
         t_fft = make_transform("fft", n3)
         t_mat = make_transform("matrix", n3, scipy.linalg.dft(n3, scale="sqrtn"))
         a, b = tsvd.ttnn(x, t_fft), tsvd.ttnn(x, t_mat)
@@ -148,10 +131,10 @@ def _check_duality(level):
         n3 = int(rng.integers(1, 6))
         dims = (int(rng.integers(2, 8)), int(rng.integers(2, 8)), n3)
         t = make_transform("fft", n3)
-        x = _rand_tensor(rng, dims)
+        x = _random_tensor(rng, dims)
         nuclear = tsvd.ttnn(x, t)
         # Random feasible direction for the sandwich side.
-        a = _rand_tensor(rng, dims)
+        a = _random_tensor(rng, dims)
         a = a / max(tsvd.transformed_spectral_norm(a, t), 1e-30)
         gap = inner_product(x, a).real - nuclear
         worst_gap = max(worst_gap, gap)
@@ -177,7 +160,7 @@ def _check_prox(level):
         n3 = int(rng.integers(1, 5))
         dims = (5, 4, n3)
         t = make_transform("fft", n3)
-        y1, y2 = _rand_tensor(rng, dims), _rand_tensor(rng, dims)
+        y1, y2 = _random_tensor(rng, dims), _random_tensor(rng, dims)
         tau = float(rng.uniform(0.05, 2.0))
         d_out = frobenius_norm(tsvd.t_tsvt(y1, tau, t) - tsvd.t_tsvt(y2, tau, t))
         d_in = frobenius_norm(y1 - y2)
@@ -198,8 +181,8 @@ def _check_sum_rank_construction(level):
         r = int(rng.integers(1, 4))
         n1, n2 = int(rng.integers(r + 1, 9)), int(rng.integers(r + 1, 9))
         t = make_transform("fft", n3)
-        a = _rand_tensor(rng, (n1, r, n3))
-        b = _rand_tensor(rng, (r, n2, n3))
+        a = _random_tensor(rng, (n1, r, n3))
+        b = _random_tensor(rng, (r, n2, n3))
         x = tsvd.t_product(a, b, t)
         total = tsvd.sum_rank(x, t, tol=1e-10)
         if total > r * n3:
@@ -218,7 +201,7 @@ def _check_forward_adjoint(level):
     worst = 0.0
     for spec in specs:
         for _ in range(trials):
-            x = _rand_tensor(rng, spec.dims)
+            x = _random_tensor(rng, spec.dims)
             y = mri.KSpaceVector(
                 rng.standard_normal(spec.m) + 1j * rng.standard_normal(spec.m), spec
             )
@@ -252,7 +235,7 @@ def _check_mask_determinism(level):
 def _check_full_mask_roundtrip(level):
     rng = np.random.default_rng(20)
     spec = mri.SamplingSpec(np.ones((3, 8, 7), dtype=bool))
-    x = _rand_tensor(rng, spec.dims)
+    x = _random_tensor(rng, spec.dims)
     rec = mri.adjoint(mri.forward(x, spec))
     value = mri.snr(rec, x)
     ok = value >= 200.0
@@ -265,8 +248,8 @@ def _check_x_update_normal_equations(level):
     worst = 0.0
     for _ in range(trials):
         spec = mri.gen_vds_mask(10, 9, 3, accel=2.5, seed=int(rng.integers(1e6)))
-        z = _rand_tensor(rng, spec.dims)
-        l = _rand_tensor(rng, spec.dims)
+        z = _random_tensor(rng, spec.dims)
+        l = _random_tensor(rng, spec.dims)
         b = mri.KSpaceVector(
             rng.standard_normal(spec.m) + 1j * rng.standard_normal(spec.m), spec
         )
@@ -289,8 +272,8 @@ def _check_z_subproblem(level):
     rng = np.random.default_rng(22)
     perturbations = 50 if level == "quick" else 200
     t = make_transform("fft", 3)
-    x = _rand_tensor(rng, (6, 5, 3))
-    l = _rand_tensor(rng, (6, 5, 3))
+    x = _random_tensor(rng, (6, 5, 3))
+    l = _random_tensor(rng, (6, 5, 3))
     lam, mu = 0.7, 1.3
     z = admm.z_update(x, l, lam, mu, t)
     y = x + l
@@ -303,7 +286,7 @@ def _check_z_subproblem(level):
         return False, "shrinkage output worse than a trivial candidate"
     radius = 0.1 * frobenius_norm(z)
     for _ in range(perturbations):
-        d = _rand_tensor(rng, z.dims)
+        d = _random_tensor(rng, z.dims)
         d = d * (radius * float(rng.random()) / frobenius_norm(d))
         if objective(z + d) < best - 1e-10 * max(best, 1.0):
             return False, "a random perturbation beat the prox output"
@@ -313,7 +296,7 @@ def _check_z_subproblem(level):
 def _check_generalized_matches_classic(level):
     rng = np.random.default_rng(23)
     spec = mri.gen_vds_mask(10, 8, 4, accel=2.0, seed=3)
-    truth = _rand_tensor(rng, spec.dims)
+    truth = _random_tensor(rng, spec.dims)
     b = mri.forward(truth, spec)
     t = make_transform("fft", 4)
     lam, mu, eta, iters = 0.05, 1.0, 1.0, 8

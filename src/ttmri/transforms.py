@@ -167,3 +167,9 @@ def _random_tensor(rng, dims) -> ComplexTensor3:
     re = rng.standard_normal((n3, n1, n2))
     im = rng.standard_normal((n3, n1, n2))
     return ComplexTensor3._wrap(re + 1j * im)
+
+
+def _random_unitary(rng, n) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = np.diag(r)
+    return q * (d / np.abs(d))

@@ -70,11 +70,19 @@ class MultirankVector:
         return int(sum(self.ranks))
 
 
-def _check_transform(x: ComplexTensor3, transform: UnitaryTransform):
-    if transform.size != x.dims[2]:
-        raise DimensionError(
-            f"transform size {transform.size} does not match n3={x.dims[2]}"
-        )
+def _svd(mat: np.ndarray, k: int, **kw):
+    """``np.linalg.svd(mat, **kw)`` for transformed slice ``k`` (0-based).
+
+    A convergence failure is re-raised as :class:`NumericError` carrying
+    the 1-based slice index.
+    """
+    try:
+        return np.linalg.svd(mat, **kw)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"SVD did not converge on transformed slice {k + 1}",
+            slice_index=k + 1,
+        ) from exc
 
 
 def _map_slices(work, n3: int, threads: int):
@@ -100,7 +108,6 @@ def t_product(
         raise DimensionError(f"slice counts differ: {a.dims[2]} vs {b.dims[2]}")
     if a.dims[1] != b.dims[0]:
         raise DimensionError(f"inner dimensions differ: {a.dims[1]} vs {b.dims[0]}")
-    _check_transform(a, transform)
     ahat = transform.apply(a).slices
     bhat = transform.apply(b).slices
     return transform.apply_adjoint(ComplexTensor3._wrap(ahat @ bhat))
@@ -110,7 +117,6 @@ def tensor_hermitian_transpose(
     a: ComplexTensor3, transform: UnitaryTransform
 ) -> ComplexTensor3:
     """Conjugate-transpose every transformed frontal slice and transform back."""
-    _check_transform(a, transform)
     ahat = transform.apply(a).slices
     return transform.apply_adjoint(
         ComplexTensor3._wrap(ahat.conj().transpose(0, 2, 1))
@@ -142,7 +148,6 @@ def is_unitary_tensor(
     n1, n2, n3 = q.dims
     if n1 != n2:
         raise DimensionError(f"unitary tensors must be square, got {n1} x {n2}")
-    _check_transform(q, transform)
     qhat = transform.apply(q).slices
     qhat_h = qhat.conj().transpose(0, 2, 1)
     eye = np.eye(n1)
@@ -197,7 +202,6 @@ def tt_svd(
         If the SVD fails to converge on some slice; the 1-based slice
         index is attached to the exception.
     """
-    _check_transform(x, transform)
     n1, n2, n3 = x.dims
     rmin = min(n1, n2)
     xhat = transform.apply(x).slices
@@ -208,13 +212,7 @@ def tt_svd(
     diag = np.arange(rmin)
 
     def factor(k: int):
-        try:
-            u, s, vh = np.linalg.svd(xhat[k], full_matrices=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(
-                f"SVD did not converge on transformed slice {k + 1}",
-                slice_index=k + 1,
-            ) from exc
+        u, s, vh = _svd(xhat[k], k, full_matrices=True)
         u, vh = _canonical_phases(u, vh)
         uhat[k] = u
         shat[k, diag, diag] = s
@@ -239,20 +237,13 @@ def transformed_singular_values(
 
     Returns an array of shape ``(n3, min(n1, n2))`` with nonincreasing rows.
     """
-    _check_transform(x, transform)
     xhat = transform.apply(x).slices
     try:
         return np.linalg.svd(xhat, compute_uv=False)
     except np.linalg.LinAlgError:
         # Retry slice by slice to report which one failed.
         for k in range(xhat.shape[0]):
-            try:
-                np.linalg.svd(xhat[k], compute_uv=False)
-            except np.linalg.LinAlgError as exc:
-                raise NumericError(
-                    f"SVD did not converge on transformed slice {k + 1}",
-                    slice_index=k + 1,
-                ) from exc
+            _svd(xhat[k], k, compute_uv=False)
         raise
 
 
@@ -315,20 +306,13 @@ def t_tsvt(
     slice is recomposed and the adjoint transform applied. ``tau`` may
     also be a length-``n3`` vector with one threshold per slice.
     """
-    _check_transform(y, transform)
+    yhat = transform.apply(y).slices
     n3 = y.dims[2]
     taus = _threshold_vector(tau, n3)
-    yhat = transform.apply(y).slices
     out = np.zeros_like(yhat)
 
     def shrink(k: int):
-        try:
-            u, s, vh = np.linalg.svd(yhat[k], full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(
-                f"SVD did not converge on transformed slice {k + 1}",
-                slice_index=k + 1,
-            ) from exc
+        u, s, vh = _svd(yhat[k], k, full_matrices=False)
         shrunk = np.maximum(s - taus[k], 0.0)
         out[k] = (u * shrunk) @ vh
 

@@ -10,20 +10,10 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 
-from ttmri import ComplexTensor3
-
-
-def rand_tensor(rng, dims) -> ComplexTensor3:
-    n1, n2, n3 = dims
-    return ComplexTensor3(
-        rng.standard_normal((n3, n1, n2)) + 1j * rng.standard_normal((n3, n1, n2))
-    )
-
-
-def random_unitary(rng, n) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+# The random inputs are drawn by the library's own helpers, so the tests
+# and ``ttmri check`` share one definition of a random tensor or unitary.
+from ttmri.transforms import _random_tensor as rand_tensor
+from ttmri.transforms import _random_unitary as random_unitary
 
 
 def transform_matrix(kind: str, n3: int, matrix=None) -> np.ndarray:

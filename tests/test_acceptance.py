@@ -7,13 +7,16 @@ per criterion.
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ttmri
 from ttmri import (
     ComplexTensor3,
     KSpaceVector,
@@ -321,11 +324,16 @@ def test_criterion_09_generalized_classic_equivalence():
 
 
 def run_cli(args, cwd):
+    # The child runs in ``cwd``, where a relative PYTHONPATH entry would not
+    # resolve, so put the imported package's absolute directory first.
+    src = str(Path(ttmri.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
     proc = subprocess.run(
         [sys.executable, "-m", "ttmri.cli", *[str(a) for a in args]],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, path]))),
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -384,6 +385,50 @@ class TestSolveGeneralized:
         dev = frobenius_norm(general.reconstruction - classic.reconstruction)
         assert dev <= 1e-10 * frobenius_norm(classic.reconstruction)
         assert general.iterations_run == classic.iterations_run == iters
+
+    def test_classic_is_the_constant_schedule(self):
+        # With the gamma data step swapped in, classic mode runs exactly the
+        # generalised loop, down to the last bit and the stopping iteration.
+        spec, _, b = self._setup(seed=24)
+        t = make_transform("fft", 4)
+        lam, mu, eta, iters = 0.08, 0.1, 1.0, 150
+        config = AdmmConfig(
+            lam=lam, mu=mu, eta=eta, transform=t, max_iters=iters, rel_tol=1e-4
+        )
+        classic = solve(
+            b, spec, config,
+            x_solver=lambda z, l, b_, s, mu_: x_update_gamma(z, l, b_, s, 1 / mu_),
+        )
+        schedule = [IterationParams(gamma=1 / mu, eta=eta, tau=lam / mu)] * iters
+        general = solve_generalized(
+            b, spec, schedule, t, rel_tol=1e-4, report_lambda=lam
+        )
+        assert np.array_equal(
+            classic.reconstruction.slices, general.reconstruction.slices
+        )
+        assert classic.iterations_run == general.iterations_run < iters
+
+        def without_time(history):
+            return [dataclasses.replace(s, elapsed_ms=0.0) for s in history]
+
+        assert without_time(classic.history) == without_time(general.history)
+
+    @pytest.mark.parametrize("route", ["solve", "solve_generalized"])
+    def test_transform_size_mismatch(self, route):
+        spec, _, b = self._setup(seed=25)
+        wrong = make_transform("fft", 3)
+        if route == "solve":
+            config = AdmmConfig(lam=0.05, mu=1.0, transform=wrong, max_iters=2)
+            run, iteration = (lambda: solve(b, spec, config)), 1
+        else:
+            schedule = [
+                IterationParams(gamma=1.0, eta=1.0, tau=0.05),
+                IterationParams(gamma=1.0, eta=1.0, tau=0.05, transform=wrong),
+            ]
+            t = make_transform("fft", 4)
+            run, iteration = (lambda: solve_generalized(b, spec, schedule, t)), 2
+        with pytest.raises(DimensionError, match=f"iteration {iteration} transform size 3"):
+            run()
 
     def test_relative_thresholds_initial_weight(self):
         # Relative mode with weight -2 shrinks by sigmoid(-2) of each

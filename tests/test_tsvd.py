@@ -4,6 +4,7 @@ import pytest
 from ttmri import (
     ComplexTensor3,
     DimensionError,
+    NumericError,
     ParameterError,
     frobenius_norm,
     identity_tensor,
@@ -432,3 +433,31 @@ def test_singular_values_shape_and_order():
     assert sv.shape == (3, 4)
     assert np.all(np.diff(sv, axis=1) <= 0)
     assert np.all(sv >= 0)
+
+
+@pytest.mark.parametrize(
+    "decompose",
+    [
+        pytest.param(tt_svd, id="tt_svd"),
+        pytest.param(lambda x, t: t_tsvt(x, 0.1, t, threads=0), id="t_tsvt-threads0"),
+        pytest.param(lambda x, t: t_tsvt(x, 0.1, t, threads=2), id="t_tsvt-threads2"),
+        pytest.param(transformed_singular_values, id="transformed_singular_values"),
+    ],
+)
+def test_svd_failure_names_the_slice(monkeypatch, decompose):
+    rng = np.random.default_rng(26)
+    x = rand_tensor(rng, (5, 4, 4))
+    t = make_transform("fft", 4)
+    bad = t.apply(x).slices[2]
+    real_svd = np.linalg.svd
+
+    def svd_failing_on_bad(a, *args, **kwargs):
+        mats = np.asarray(a).reshape(-1, *bad.shape)
+        if any(np.array_equal(m, bad) for m in mats):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_failing_on_bad)
+    with pytest.raises(NumericError) as excinfo:
+        decompose(x, t)
+    assert excinfo.value.slice_index == 3
