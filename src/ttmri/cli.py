@@ -6,14 +6,18 @@ manifest (``<out>.manifest.json``) recording the resolved parameters,
 paths, seed, tool version, and wall time; outputs are deterministic given
 the manifest in sequential mode (``--threads 0``).
 
-Exit codes: 0 success, 2 usage or configuration error, 3 data error
-(missing or malformed files, mismatched inputs), 4 numeric failure
-(divergence, non-unitary matrices, failed invariant checks).
+Exit codes: 0 success; 2 usage or configuration error (including a
+negative ``--threads`` and non-finite numbers in a recon config); 3 data
+error (missing, malformed or undecodable files, mismatched inputs, other
+I/O failures); 4 numeric failure (divergence, non-unitary matrices, failed
+invariant checks).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import sys
@@ -23,20 +27,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, admm, checks, fileio, mri, tsvd
-from .errors import (
-    DataFormatError,
-    DimensionError,
-    NumericError,
-    ParameterError,
-    TtmriError,
-    UnitarityError,
-)
+from .errors import DataFormatError, NumericError, ParameterError, TtmriError, UnitarityError
 from .transforms import KINDS, make_transform
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# Exit code of an error raised by a command: the first row whose types match.
+_EXIT_CODES = (
+    (ParameterError, EXIT_USAGE),
+    ((UnitarityError, NumericError), EXIT_NUMERIC),
+    ((TtmriError, OSError), EXIT_DATA),
+)
 
 HISTORY_COLUMNS = ("iter", "objective", "fidelity", "ttnn", "primal_residual", "elapsed_ms")
 
@@ -51,37 +55,29 @@ def _format_snr(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _write_manifest(out_path, command, parameters, inputs, outputs, seed, threads, wall):
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _write_manifest(args, parameters, inputs, outputs, seed=None):
+    """Write ``<out>.manifest.json``; ``seed`` defaults to ``--seed``."""
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
-        "seed": seed,
-        "threads": threads,
+        "seed": args.seed if seed is None else seed,
+        "threads": args.threads,
         "parameters": parameters,
         "inputs": inputs,
         "outputs": [str(p) for p in outputs],
-        "wall_time_s": wall,
+        "wall_time_s": time.perf_counter() - args.start,
     }
-    path = f"{out_path}.manifest.json"
-    fileio.atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    fileio.atomic_write_text(f"{args.out}.manifest.json", text)
 
 
 def _write_history_csv(path, history):
     lines = [",".join(HISTORY_COLUMNS)]
-    for s in history:
-        lines.append(
-            ",".join(
-                [
-                    str(s.iteration),
-                    _format_value(s.objective),
-                    _format_value(s.fidelity),
-                    _format_value(s.ttnn),
-                    _format_value(s.primal_residual),
-                    _format_value(s.elapsed_ms),
-                ]
-            )
-        )
+    lines += [",".join(map(_format_value, dataclasses.astuple(s))) for s in history]
     fileio.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -108,9 +104,11 @@ def _cfg_get(cfg, key, kind, required=False, default=None, positive=False, nonne
         return default
     value = cfg[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_number(value):
             raise ConfigError(f"config key '{key}' must be a number")
         value = float(value)
+        if not math.isfinite(value):
+            raise ConfigError(f"config key '{key}' must be finite")
     elif kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"config key '{key}' must be an integer")
@@ -121,20 +119,27 @@ def _cfg_get(cfg, key, kind, required=False, default=None, positive=False, nonne
     return value
 
 
+def _make_transform(kind, nt, matrix_path, role):
+    """Transform ``kind`` of size ``nt``; kind 'matrix' loads ``matrix_path``.
+
+    Callers check that a matrix kind comes with a path, each with its own
+    message; ``role`` names the matrix file in the not-found error.
+    """
+    if kind != "matrix":
+        return make_transform(kind, nt)
+    matrix = fileio.load_transform_matrix(_require_file(matrix_path, role))
+    return make_transform("matrix", nt, matrix)
+
+
 def _transform_from_config(entry, nt, key):
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ConfigError(f"config key '{key}' must be an object with a 'kind'")
     kind = entry["kind"]
     if kind not in KINDS:
         raise ConfigError(f"config key '{key}.kind' must be one of {KINDS}")
-    if kind == "matrix":
-        if "matrix_path" not in entry:
-            raise ConfigError(f"config key '{key}.matrix_path' is required for kind 'matrix'")
-        matrix = fileio.load_transform_matrix(
-            _require_file(entry["matrix_path"], "transform matrix")
-        )
-        return make_transform("matrix", nt, matrix)
-    return make_transform(kind, nt)
+    if kind == "matrix" and "matrix_path" not in entry:
+        raise ConfigError(f"config key '{key}.matrix_path' is required for kind 'matrix'")
+    return _make_transform(kind, nt, entry.get("matrix_path"), "transform matrix")
 
 
 def _threshold_from_entry(entry, nt, key):
@@ -144,19 +149,26 @@ def _threshold_from_entry(entry, nt, key):
         raise ConfigError(f"config key '{key}' needs exactly one of 'tau' and 'a'")
     name = "tau" if has_tau else "a"
     raw = entry[name]
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return name, float(raw)
-    if isinstance(raw, list) and len(raw) == nt and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
-    ):
-        return name, np.asarray(raw, dtype=float)
-    raise ConfigError(f"config key '{key}.{name}' must be a number or a list of {nt} numbers")
+    if _is_number(raw):
+        value = float(raw)
+    elif isinstance(raw, list) and len(raw) == nt and all(map(_is_number, raw)):
+        value = np.asarray(raw, dtype=float)
+    else:
+        raise ConfigError(f"config key '{key}.{name}' must be a number or a list of {nt} numbers")
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"config key '{key}.{name}' must be finite")
+    return name, value
 
 
 def _parse_recon_config(path, nt):
+    """Parse a recon config into ``(mode, seed, solver)``.
+
+    ``solver(b, spec, threads=...)`` runs ``admm.solve`` or
+    ``admm.solve_generalized`` with every other argument bound.
+    """
     try:
         cfg = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -170,20 +182,15 @@ def _parse_recon_config(path, nt):
     rel_tol = _cfg_get(cfg, "rel_tol", float, default=1e-6, nonneg=True)
     seed = _cfg_get(cfg, "seed", int, default=0)
     if mode == "classic":
-        parsed = {
-            "mode": mode,
-            "transform": transform,
-            "config": admm.AdmmConfig(
-                lam=lam,
-                mu=_cfg_get(cfg, "mu", float, required=True, positive=True),
-                eta=_cfg_get(cfg, "eta", float, default=1.0, positive=True),
-                max_iters=_cfg_get(cfg, "max_iters", int, default=300, positive=True),
-                rel_tol=rel_tol,
-                transform=transform,
-            ),
-            "seed": seed,
-        }
-        return parsed
+        config = admm.AdmmConfig(
+            lam=lam,
+            mu=_cfg_get(cfg, "mu", float, required=True, positive=True),
+            eta=_cfg_get(cfg, "eta", float, default=1.0, positive=True),
+            max_iters=_cfg_get(cfg, "max_iters", int, default=300, positive=True),
+            rel_tol=rel_tol,
+            transform=transform,
+        )
+        return mode, seed, functools.partial(admm.solve, config=config)
     raw_schedule = cfg.get("schedule")
     if not isinstance(raw_schedule, list) or not raw_schedule:
         raise ConfigError("config key 'schedule' must be a nonempty list in generalized mode")
@@ -198,26 +205,21 @@ def _parse_recon_config(path, nt):
             if "transform" in entry
             else None
         )
-        params = admm.IterationParams(
+        schedule.append(admm.IterationParams(
             gamma=_cfg_get(entry, "gamma", float, required=True, nonneg=True),
             eta=_cfg_get(entry, "eta", float, required=True, nonneg=True),
             tau=value if name == "tau" else None,
             a=value if name == "a" else None,
             transform=entry_transform,
-        )
-        schedule.append(params)
-    return {
-        "mode": mode,
-        "transform": transform,
-        "schedule": schedule,
-        "rel_tol": rel_tol,
-        "report_lambda": lam,
-        "seed": seed,
-    }
+        ))
+    solver = functools.partial(
+        admm.solve_generalized, schedule=schedule, init_transform=transform,
+        rel_tol=rel_tol, report_lambda=lam,
+    )
+    return mode, seed, solver
 
 
 def _cmd_phantom(args):
-    start = time.perf_counter()
     transform = None
     if args.phantom_transform != "fft":
         transform = make_transform(args.phantom_transform, args.nt)
@@ -233,13 +235,11 @@ def _cmd_phantom(args):
         "kind": args.kind, "nx": args.nx, "ny": args.ny, "nt": args.nt,
         "rank": args.rank, "phantom_transform": args.phantom_transform,
     }
-    _write_manifest(args.out, "phantom", params, {}, outputs, args.seed,
-                    args.threads, time.perf_counter() - start)
+    _write_manifest(args, params, {}, outputs)
     return EXIT_OK
 
 
 def _cmd_mask(args):
-    start = time.perf_counter()
     if args.pattern == "radial":
         spec = mri.gen_pseudo_radial_mask(
             args.nx, args.ny, args.nt, args.lines, args.seed,
@@ -250,13 +250,11 @@ def _cmd_mask(args):
     fileio.save_mask(args.out, spec)
     params = dict(spec.descriptor)
     params.update({"nx": args.nx, "ny": args.ny, "nt": args.nt, "m": spec.m})
-    _write_manifest(args.out, "mask", params, {}, [args.out], args.seed,
-                    args.threads, time.perf_counter() - start)
+    _write_manifest(args, params, {}, [args.out])
     return EXIT_OK
 
 
 def _cmd_forward(args):
-    start = time.perf_counter()
     image = fileio.load_tensor(_require_file(args.image, "image"))
     spec = _load_spec(args.mask)
     b = mri.forward(image, spec)
@@ -264,111 +262,93 @@ def _cmd_forward(args):
     fileio.save_kspace(args.out, b, mask_path=args.mask)
     params = {"sigma": args.sigma, "m": b.m}
     inputs = {"image": str(args.image), "mask": str(args.mask)}
-    outputs = [args.out, f"{args.out}.mask"]
-    _write_manifest(args.out, "forward", params, inputs, outputs, args.seed,
-                    args.threads, time.perf_counter() - start)
+    _write_manifest(args, params, inputs, [args.out, f"{args.out}.mask"])
     return EXIT_OK
 
 
 def _cmd_recon(args):
-    start = time.perf_counter()
     spec = _load_spec(args.mask)
     values, _ = fileio.load_kspace(_require_file(args.kspace, "k-space"))
     b = mri.KSpaceVector(values, spec)
-    parsed = _parse_recon_config(_require_file(args.config, "config"), spec.dims[2])
-    if parsed["mode"] == "classic":
-        report = admm.solve(b, spec, parsed["config"], threads=args.threads)
-    else:
-        report = admm.solve_generalized(
-            b, spec, parsed["schedule"], parsed["transform"],
-            rel_tol=parsed["rel_tol"], report_lambda=parsed["report_lambda"],
-            threads=args.threads,
-        )
+    mode, seed, solver = _parse_recon_config(_require_file(args.config, "config"), spec.dims[2])
+    report = solver(b, spec, threads=args.threads)
     fileio.save_tensor(args.out, report.reconstruction)
     history_path = f"{args.out}.history.csv"
     _write_history_csv(history_path, report.history)
     outputs = [args.out, history_path]
     if args.frames_out:
         outputs.extend(fileio.dump_frames_pgm(args.frames_out, report.reconstruction))
+    inputs = {"kspace": str(args.kspace), "mask": str(args.mask)}
     if args.ref:
         ref = fileio.load_tensor(_require_file(args.ref, "reference"))
         print(f"SNR_dB: {_format_snr(mri.snr(report.reconstruction, ref))}")
-    params = {"mode": parsed["mode"], "config": str(args.config),
-              "iterations_run": report.iterations_run}
-    inputs = {"kspace": str(args.kspace), "mask": str(args.mask)}
-    if args.ref:
         inputs["ref"] = str(args.ref)
-    _write_manifest(args.out, "recon", params, inputs, outputs,
-                    parsed["seed"], args.threads, time.perf_counter() - start)
+    params = {"mode": mode, "config": str(args.config), "iterations_run": report.iterations_run}
+    _write_manifest(args, params, inputs, outputs, seed=seed)
     return EXIT_OK
 
 
 def _cmd_tsvd(args):
-    start = time.perf_counter()
     x = fileio.load_tensor(_require_file(args.tensor, "tensor"))
-    nt = x.dims[2]
-    if args.transform == "matrix":
-        if not args.matrix_path:
-            raise ParameterError("--matrix-path is required for --transform matrix")
-        matrix = fileio.load_transform_matrix(_require_file(args.matrix_path, "matrix"))
-        transform = make_transform("matrix", nt, matrix)
-    else:
-        transform = make_transform(args.transform, nt)
+    if args.transform == "matrix" and not args.matrix_path:
+        raise ParameterError("--matrix-path is required for --transform matrix")
+    transform = _make_transform(args.transform, x.dims[2], args.matrix_path, "matrix")
     factors = tsvd.tt_svd(x, transform, threads=args.threads)
-    prefix = str(args.out)
-    paths = {
-        "U": f"{prefix}_U.t2t", "S": f"{prefix}_S.t2t", "V": f"{prefix}_V.t2t",
-    }
-    fileio.save_tensor(paths["U"], factors.U)
-    fileio.save_tensor(paths["S"], factors.S)
-    fileio.save_tensor(paths["V"], factors.V)
-    sv_path = f"{prefix}_sv.txt"
-    sv_lines = [
-        " ".join(_format_value(v) for v in row) for row in factors.singular_values
-    ]
-    fileio.atomic_write_text(sv_path, "\n".join(sv_lines) + "\n")
-    rank = tsvd.transformed_multirank(x, transform)
-    print(f"TTNN: {_format_value(float(factors.singular_values.sum()))}")
+    outputs = [f"{args.out}_{name}.t2t" for name in ("U", "S", "V")]
+    for path, factor in zip(outputs, (factors.U, factors.S, factors.V)):
+        fileio.save_tensor(path, factor)
+    svals = factors.singular_values
+    outputs.append(f"{args.out}_sv.txt")
+    sv_lines = [" ".join(_format_value(v) for v in row) for row in svals]
+    fileio.atomic_write_text(outputs[-1], "\n".join(sv_lines) + "\n")
+    rank = tsvd._multirank(svals)
+    print(f"TTNN: {_format_value(float(svals.sum()))}")
     print("multirank: " + " ".join(str(r) for r in rank.ranks))
     print(f"sum_rank: {rank.total}")
     params = {"transform": args.transform, "matrix_path": args.matrix_path}
-    outputs = [paths["U"], paths["S"], paths["V"], sv_path]
-    _write_manifest(prefix, "tsvd", params, {"tensor": str(args.tensor)}, outputs,
-                    args.seed, args.threads, time.perf_counter() - start)
+    _write_manifest(args, params, {"tensor": str(args.tensor)}, outputs)
     return EXIT_OK
+
+
+def _print_report(args, text):
+    """Print ``text`` and, with ``--out``, also write it there."""
+    print(text)
+    if args.out:
+        fileio.atomic_write_text(args.out, text + "\n")
 
 
 def _cmd_metrics(args):
     rec = fileio.load_tensor(_require_file(args.rec, "reconstruction"))
     ref = fileio.load_tensor(_require_file(args.ref, "reference"))
-    line = f"SNR_dB: {_format_snr(mri.snr(rec, ref))}"
-    print(line)
-    if args.out:
-        fileio.atomic_write_text(args.out, line + "\n")
+    _print_report(args, f"SNR_dB: {_format_snr(mri.snr(rec, ref))}")
     return EXIT_OK
 
 
 def _cmd_check(args):
     results = checks.run_checks(level=args.level)
-    failures = 0
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        failures += 0 if r.passed else 1
-        lines.append(f"{status} {r.name}: {r.detail}")
-    lines.append(f"{len(results) - failures}/{len(results)} checks passed")
-    text = "\n".join(lines)
-    print(text)
-    if args.out:
-        fileio.atomic_write_text(args.out, text + "\n")
-    return EXIT_OK if failures == 0 else EXIT_NUMERIC
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
+    passed = sum(r.passed for r in results)
+    lines.append(f"{passed}/{len(results)} checks passed")
+    _print_report(args, "\n".join(lines))
+    return EXIT_OK if passed == len(results) else EXIT_NUMERIC
+
+
+def _thread_count(text):
+    """argparse type of ``--threads``: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return value
 
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     common.add_argument(
-        "--threads", type=int, default=0,
+        "--threads", type=_thread_count, default=0,
         help="slice-level worker threads; 0 = sequential reference mode",
     )
     common.add_argument("--out", help="primary output path (prefix for tsvd)")
@@ -446,20 +426,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command in _NEEDS_OUT and not args.out:
         parser.error(f"--out is required for '{args.command}'")
+    args.start = time.perf_counter()
     try:
         return args.func(args)
-    except (ConfigError, ParameterError) as exc:
+    except (TtmriError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataFormatError, DimensionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (UnitarityError, NumericError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except TtmriError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

@@ -166,7 +166,10 @@ def load_kspace(path):
         )
     values = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
     sidecar = Path(f"{path}.mask")
-    mask_path = sidecar.read_text().strip() if sidecar.exists() else None
+    try:
+        mask_path = sidecar.read_text().strip() if sidecar.exists() else None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{sidecar}: mask sidecar is not text: {exc}") from exc
     return values, mask_path
 
 

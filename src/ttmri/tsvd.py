@@ -258,7 +258,11 @@ def transformed_multirank(
     """
     if tol < 0:
         raise ParameterError(f"rank tolerance must be nonnegative, got {tol}")
-    svals = transformed_singular_values(x, transform)
+    return _multirank(transformed_singular_values(x, transform), tol)
+
+
+def _multirank(svals: np.ndarray, tol: float = 1e-10) -> MultirankVector:
+    """The rank rule of :func:`transformed_multirank` on given singular values."""
     cut = tol * float(svals.max(initial=0.0))
     ranks = (svals > cut).sum(axis=1)
     return MultirankVector(tuple(int(r) for r in ranks), float(tol))

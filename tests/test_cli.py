@@ -1,16 +1,32 @@
+import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from ttmri import (
+    AdmmConfig,
     ComplexTensor3,
+    DataFormatError,
+    DimensionError,
+    DivergenceError,
+    IterationParams,
+    KSpaceVector,
+    NumericError,
+    ParameterError,
+    SamplingSpec,
+    TtmriError,
+    UnitarityError,
     frobenius_norm,
     gen_pseudo_radial_mask,
     make_transform,
+    solve,
+    solve_generalized,
     sum_rank,
 )
-from ttmri.cli import main
+from ttmri import cli
+from ttmri.cli import ConfigError, main
 from ttmri.fileio import load_kspace, load_mask, load_tensor, save_tensor
 
 from conftest import rand_tensor
@@ -265,3 +281,146 @@ def test_corrupt_tensor_is_data_error(tmp_path):
     bad.write_bytes(b"garbage")
     assert run("tsvd", "--tensor", bad, "--transform", "fft",
                "--out", tmp_path / "fac") == 3
+
+
+@pytest.mark.parametrize("exc, code", [
+    (ParameterError("bad option"), 2),
+    (ConfigError("config key 'mu' must be positive"), 2),
+    (DataFormatError("bad file"), 3),
+    (DimensionError("bad dims"), 3),
+    (OSError("disk full"), 3),
+    (TtmriError("other"), 3),
+    (UnitarityError("not unitary", 1e-3), 4),
+    (NumericError("no convergence"), 4),
+    (DivergenceError("non-finite iterate", 5), 4),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_exit_code_of_each_error(monkeypatch, capsys, tmp_path, exc, code):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_metrics", fail)
+    assert run("metrics", "--rec", tmp_path / "a.t2t", "--ref", tmp_path / "b.t2t") == code
+    assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+@pytest.mark.parametrize("threads", ["-1", "-3"])
+def test_negative_threads_is_usage_error(tmp_path, threads):
+    out = tmp_path / "p.t2t"
+    with pytest.raises(SystemExit) as excinfo:
+        run("phantom", "--kind", "moving_ellipse", "--nx", 4, "--ny", 4, "--nt", 1,
+            "--threads", threads, "--out", out)
+    assert excinfo.value.code == 2
+    assert not out.exists()
+
+
+_SCHEDULE_ENTRY = {"gamma": 1.0, "eta": 1.0, "tau": 0.1}
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"rel_tol": float("nan")}, "'rel_tol'"),
+    ({"rel_tol": float("inf")}, "'rel_tol'"),
+    ({"lambda": float("nan")}, "'lambda'"),
+    ({"mu": float("inf")}, "'mu'"),
+    ({"mode": "generalized",
+      "schedule": [{**_SCHEDULE_ENTRY, "gamma": float("nan")}]},
+     "'gamma'"),
+    ({"mode": "generalized",
+      "schedule": [_SCHEDULE_ENTRY, {**_SCHEDULE_ENTRY, "tau": float("inf")}]},
+     "'schedule[1].tau'"),
+    ({"mode": "generalized",
+      "schedule": [{"gamma": 1.0, "eta": 1.0, "a": [-2.0, float("nan"), -2.0, -2.0]}]},
+     "'schedule[0].a'"),
+], ids=["rel_tol-nan", "rel_tol-inf", "lambda-nan", "mu-inf", "gamma-nan", "tau-inf", "a-nan"])
+def test_non_finite_config_number_is_usage_error(pipeline, capsys, overrides, key):
+    tmp_path, _, mask, kspace = pipeline
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()
+    out = tmp_path / "r.t2t"
+    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
+               "--out", out) == 2
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["config", "sidecar"])
+def test_undecodable_text_input_is_data_error(pipeline, capsys, target):
+    tmp_path, _, mask, kspace = pipeline
+    cfg = write_config(tmp_path / "cfg.json")
+    undecodable = b"\xff\xfe\x80 not utf-8"
+    if target == "config":
+        cfg.write_bytes(undecodable)
+    else:
+        (tmp_path / "b.t2k.mask").write_bytes(undecodable)
+    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
+               "--out", tmp_path / "r.t2t") == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_MANIFEST_KEYS = {
+    "command", "version", "seed", "threads", "parameters", "inputs", "outputs", "wall_time_s",
+}
+
+
+def test_manifest_keys_of_every_file_producing_command(pipeline, tmp_path):
+    _, phantom, mask, kspace = pipeline
+    cfg = write_config(tmp_path / "cfg.json", seed=11)
+    rec = tmp_path / "rec.t2t"
+    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
+               "--ref", phantom, "--seed", 4, "--out", rec) == 0
+    assert run("tsvd", "--tensor", rec, "--transform", "dct", "--seed", 4,
+               "--out", tmp_path / "fac") == 0
+    expected = {
+        "truth.t2t": ("phantom", 1, {"kind", "nx", "ny", "nt", "rank", "phantom_transform"},
+                      set(), 1),
+        "mask.t2t": ("mask", 1, {"pattern", "lines", "freeze_angles", "theta0",
+                                 "nx", "ny", "nt", "m"}, set(), 1),
+        "b.t2k": ("forward", 0, {"sigma", "m"}, {"image", "mask"}, 2),
+        "rec.t2t": ("recon", 11, {"mode", "config", "iterations_run"},
+                    {"kspace", "mask", "ref"}, 2),
+        "fac": ("tsvd", 4, {"transform", "matrix_path"}, {"tensor"}, 4),
+    }
+    for out, (command, seed, params, inputs, n_outputs) in expected.items():
+        manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+        assert set(manifest) == _MANIFEST_KEYS
+        assert manifest["command"] == command
+        assert manifest["seed"] == seed
+        assert manifest["threads"] == 0
+        assert set(manifest["parameters"]) == params
+        assert set(manifest["inputs"]) == inputs
+        assert len(manifest["outputs"]) == n_outputs
+        assert manifest["wall_time_s"] >= 0
+
+
+@pytest.mark.parametrize("mode", ["classic", "generalized"])
+def test_history_csv_matches_in_process_solve(pipeline, mode):
+    tmp_path, _, mask, kspace = pipeline
+    fft = make_transform("fft", 4)
+    if mode == "classic":
+        cfg = write_config(tmp_path / "cfg.json", rel_tol=1e-3, max_iters=30)
+        config = AdmmConfig(lam=0.05, mu=0.5, eta=1.0, max_iters=30, rel_tol=1e-3,
+                            transform=fft)
+        expected = lambda b, spec: solve(b, spec, config)  # noqa: E731
+    else:
+        schedule = [{"gamma": 2.0, "eta": 1.0, "tau": 0.1},
+                    {"gamma": 2.0, "eta": 1.0, "a": [-2.0] * 4, "transform": {"kind": "dct"}}] * 3
+        cfg = write_config(tmp_path / "cfg.json", mode="generalized", schedule=schedule)
+        params = [IterationParams(gamma=2.0, eta=1.0, tau=0.1),
+                  IterationParams(gamma=2.0, eta=1.0, a=np.full(4, -2.0),
+                                  transform=make_transform("dct", 4))] * 3
+        expected = lambda b, spec: solve_generalized(  # noqa: E731
+            b, spec, params, fft, rel_tol=0.0, report_lambda=0.05)
+    rec = tmp_path / "rec.t2t"
+    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
+               "--out", rec) == 0
+    spec = SamplingSpec(load_mask(mask))
+    report = expected(KSpaceVector(load_kspace(kspace)[0], spec), spec)
+    with open(tmp_path / "rec.t2t.history.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(report.history) == report.iterations_run
+    for row, stats in zip(rows, report.history):
+        want = dataclasses.asdict(stats)
+        assert int(row["iter"]) == want.pop("iteration")
+        want.pop("elapsed_ms")
+        assert {k: float(row[k]) for k in want} == want
+    assert np.array_equal(load_tensor(rec).slices, report.reconstruction.slices)

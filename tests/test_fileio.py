@@ -140,6 +140,14 @@ class TestKSpaceFormat:
         assert np.array_equal(values, b.values)
         assert mask_path is None
 
+    def test_undecodable_sidecar(self, tmp_path):
+        spec = SamplingSpec(np.ones((1, 2, 2), dtype=bool))
+        path = tmp_path / "b.t2k"
+        save_kspace(path, KSpaceVector(np.arange(4, dtype=complex), spec))
+        (tmp_path / "b.t2k.mask").write_bytes(b"\xff\xfe\x00mask")
+        with pytest.raises(DataFormatError, match="sidecar"):
+            load_kspace(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "b.t2k"
         path.write_bytes(b"XXXX" + bytes(8))
