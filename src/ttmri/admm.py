@@ -14,17 +14,17 @@ iteration; classic mode is its constant schedule.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionError, DivergenceError, NumericError, ParameterError
 from .mri import KSpaceVector, SamplingSpec, adjoint, forward, spatial_fft, spatial_ifft
 from .tensor import ComplexTensor3, frobenius_norm
 from .transforms import UnitaryTransform
-from .tsvd import t_tsvt, transformed_singular_values, ttnn
+from .tsvd import _shrink, t_tsvt, transformed_singular_values, ttnn
 
 __all__ = [
     "AdmmConfig",
@@ -155,9 +155,10 @@ def x_update_cartesian(
             raise NumericError(
                 "mu = 0 leaves unsampled k-space entries undefined (0/0)"
             )
-    numer = spec.scatter(b.values) + mu * spatial_fft(z - l_prev).slices
-    denom = spec.mask.astype(np.float64) + mu
-    return spatial_ifft(ComplexTensor3._wrap(numer / denom))
+    numer = spatial_fft(z - l_prev).slices * mu
+    numer += spec.scatter(b.values)
+    numer /= spec.mask.astype(np.float64) + mu
+    return spatial_ifft(ComplexTensor3._wrap(numer))
 
 
 def x_update_gamma(
@@ -179,9 +180,11 @@ def x_update_gamma(
     _check_kspace(b, spec)
     if gamma == 0:
         return z - l_prev
-    numer = gamma * spec.scatter(b.values) + spatial_fft(z - l_prev).slices
-    denom = gamma * spec.mask.astype(np.float64) + 1.0
-    return spatial_ifft(ComplexTensor3._wrap(numer / denom))
+    # Scattered values are laid out transposed; order="C" keeps the sum
+    # contiguous, so spatial_ifft does not have to copy it.
+    numer = np.add(spatial_fft(z - l_prev).slices, gamma * spec.scatter(b.values), order="C")
+    numer /= gamma * spec.mask.astype(np.float64) + 1.0
+    return spatial_ifft(ComplexTensor3._wrap(numer))
 
 
 def l_update(
@@ -191,11 +194,16 @@ def l_update(
     return l_prev - (z - x) * eta
 
 
-def relative_thresholds(
-    y: ComplexTensor3, a, transform: UnitaryTransform
-) -> np.ndarray:
-    """Per-slice thresholds ``sigmoid(a_i) * max(sigma of slice i)``."""
-    nt = y.dims[2]
+def _sigmoid(v: float) -> float:
+    """``1 / (1 + exp(-v))``; 0.0 where ``exp(-v)`` overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:
+        return 0.0
+
+
+def _relative_weights(a, nt: int) -> np.ndarray:
+    """``sigmoid(a_i)`` for each of the ``nt`` slices; ``a`` may be a scalar."""
     weights = np.asarray(a, dtype=float)
     if weights.ndim == 0:
         weights = np.full(nt, float(weights))
@@ -203,8 +211,35 @@ def relative_thresholds(
         raise DimensionError(
             f"relative weight vector has shape {weights.shape}, expected ({nt},)"
         )
+    return np.array([_sigmoid(v) for v in weights.tolist()])
+
+
+def relative_thresholds(
+    y: ComplexTensor3, a, transform: UnitaryTransform
+) -> np.ndarray:
+    """Per-slice thresholds ``sigmoid(a_i) * max(sigma of slice i)``.
+
+    The solvers apply the same thresholds from the singular values of
+    their single shrinkage SVD; this is the standalone form.
+    """
+    weights = _relative_weights(a, y.dims[2])
     svals = transformed_singular_values(y, transform)
-    return expit(weights) * svals.max(axis=1)
+    return weights * svals.max(axis=1)
+
+
+def _relative_shrink(
+    y: ComplexTensor3, a, transform: UnitaryTransform, threads: int
+) -> ComplexTensor3:
+    """``t_tsvt(y, relative_thresholds(y, a, transform), transform)``.
+
+    Each slice's threshold comes from the SVD that shrinks it, so every
+    slice is decomposed once.
+    """
+    weights = _relative_weights(a, y.dims[2])
+    if np.isnan(weights).any():
+        raise ParameterError("thresholds must be finite and nonnegative")
+    yhat = transform.apply(y).slices
+    return _shrink(yhat, transform, threads, lambda k, s: weights[k] * s[0])
 
 
 def _all_finite(x: ComplexTensor3) -> bool:
@@ -264,18 +299,21 @@ def _run(
             )
         tic = time.perf_counter()
         y = x + l
+        # Each iterate is released as soon as it is spent (the previous
+        # z before the shrinkage, y before the data step, the previous x
+        # before the multiplier update), to keep peak memory down.
+        z = None
         if params.tau is not None:
-            tau = params.tau
+            z = t_tsvt(y, params.tau, transform, threads=threads)
         else:
-            tau = relative_thresholds(y, params.a, transform)
-        z = t_tsvt(y, tau, transform, threads=threads)
-        del y  # free it before the data step to keep peak memory down
+            z = _relative_shrink(y, params.a, transform, threads)
+        del y
         x_new = x_step(z, l)
-        l = l_update(l, z, x_new, params.eta)
-        elapsed_ms = (time.perf_counter() - tic) * 1e3
-        iterations = n
         rel = _relative_change(x_new, x)
         x = x_new
+        l = l_update(l, z, x, params.eta)
+        elapsed_ms = (time.perf_counter() - tic) * 1e3
+        iterations = n
         if not (_all_finite(x) and _all_finite(z) and _all_finite(l)):
             raise DivergenceError(
                 f"non-finite iterate at iteration {n}", iteration=n

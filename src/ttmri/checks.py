@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import admm, mri, tsvd
 from .tensor import ComplexTensor3, bdiag, fold, frobenius_norm, inner_product
@@ -30,6 +29,8 @@ class CheckResult:
 
 
 def _transform_set(n3, rng):
+    import scipy.linalg  # imported here: only the checks need scipy
+
     dft = scipy.linalg.dft(n3, scale="sqrtn")
     return [
         make_transform("identity", n3),
@@ -106,6 +107,8 @@ def _check_tsvd_exactness(level):
 
 
 def _check_ttnn_matrix_invariance(level):
+    import scipy.linalg  # imported here: only the checks need scipy
+
     rng = np.random.default_rng(15)
     trials = 5 if level == "quick" else 20
     worst = 0.0

@@ -97,25 +97,28 @@ class ConfigError(ParameterError):
     """A reconstruction config violates the schema; names the key."""
 
 
-def _cfg_get(cfg, key, kind, required=False, default=None, positive=False, nonneg=False):
+def _cfg_get(cfg, key, kind, required=False, default=None, positive=False, nonneg=False,
+             prefix=""):
+    """``cfg[key]`` checked; errors name the key as ``prefix + key``."""
+    name = prefix + key
     if key not in cfg:
         if required:
-            raise ConfigError(f"config key '{key}' is required")
+            raise ConfigError(f"config key '{name}' is required")
         return default
     value = cfg[key]
     if kind is float:
         if not _is_number(value):
-            raise ConfigError(f"config key '{key}' must be a number")
+            raise ConfigError(f"config key '{name}' must be a number")
         value = float(value)
         if not math.isfinite(value):
-            raise ConfigError(f"config key '{key}' must be finite")
+            raise ConfigError(f"config key '{name}' must be finite")
     elif kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"config key '{key}' must be an integer")
+            raise ConfigError(f"config key '{name}' must be an integer")
     if positive and not value > 0:
-        raise ConfigError(f"config key '{key}' must be positive")
+        raise ConfigError(f"config key '{name}' must be positive")
     if nonneg and value < 0:
-        raise ConfigError(f"config key '{key}' must be nonnegative")
+        raise ConfigError(f"config key '{name}' must be nonnegative")
     return value
 
 
@@ -139,6 +142,8 @@ def _transform_from_config(entry, nt, key):
         raise ConfigError(f"config key '{key}.kind' must be one of {KINDS}")
     if kind == "matrix" and "matrix_path" not in entry:
         raise ConfigError(f"config key '{key}.matrix_path' is required for kind 'matrix'")
+    if kind == "matrix" and not isinstance(entry["matrix_path"], str):
+        raise ConfigError(f"config key '{key}.matrix_path' must be a string")
     return _make_transform(kind, nt, entry.get("matrix_path"), "transform matrix")
 
 
@@ -206,8 +211,8 @@ def _parse_recon_config(path, nt):
             else None
         )
         schedule.append(admm.IterationParams(
-            gamma=_cfg_get(entry, "gamma", float, required=True, nonneg=True),
-            eta=_cfg_get(entry, "eta", float, required=True, nonneg=True),
+            gamma=_cfg_get(entry, "gamma", float, required=True, nonneg=True, prefix=f"{key}."),
+            eta=_cfg_get(entry, "eta", float, required=True, nonneg=True, prefix=f"{key}."),
             tau=value if name == "tau" else None,
             a=value if name == "a" else None,
             transform=entry_transform,

@@ -49,18 +49,28 @@ def dc_index(n: int) -> int:
     return n // 2
 
 
+def _centered_fft2(stack: np.ndarray, fft) -> np.ndarray:
+    """Centered ``fft`` (``np.fft.fft`` or ``ifft``) over each frame.
+
+    The two image axes are transformed one at a time, in the order
+    ``np.fft.fft2`` uses, and no intermediate is named, so each is freed
+    as soon as the next step has consumed it: at most two full-size
+    temporaries are alive at once.
+    """
+    return np.fft.fftshift(
+        fft(fft(np.fft.ifftshift(stack, axes=(1, 2)), axis=2, norm="ortho"), axis=1, norm="ortho"),
+        axes=(1, 2),
+    )
+
+
 def spatial_fft(x: ComplexTensor3) -> ComplexTensor3:
     """Per-frame centered unitary 2D Fourier transform."""
-    stack = np.fft.ifftshift(x.slices, axes=(1, 2))
-    k = np.fft.fft2(stack, axes=(1, 2), norm="ortho")
-    return ComplexTensor3._wrap(np.fft.fftshift(k, axes=(1, 2)))
+    return ComplexTensor3._wrap(_centered_fft2(x.slices, np.fft.fft))
 
 
 def spatial_ifft(k: ComplexTensor3) -> ComplexTensor3:
     """Exact inverse (and adjoint) of :func:`spatial_fft`."""
-    stack = np.fft.ifftshift(k.slices, axes=(1, 2))
-    x = np.fft.ifft2(stack, axes=(1, 2), norm="ortho")
-    return ComplexTensor3._wrap(np.fft.fftshift(x, axes=(1, 2)))
+    return ComplexTensor3._wrap(_centered_fft2(k.slices, np.fft.ifft))
 
 
 class SamplingSpec:

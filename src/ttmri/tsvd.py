@@ -10,13 +10,20 @@ proximal map of the nuclear norm.
 
 Per-slice SVDs are independent; ``threads=0`` selects the sequential
 reference loop and ``threads=n`` runs the same per-slice work on a thread
-pool, writing each slice exactly once.
+pool, writing each slice exactly once. While the pool runs, numpy's
+OpenBLAS is pinned to one thread, so the ``n`` workers do not each start
+BLAS threads of their own on the same cores.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -85,9 +92,69 @@ def _svd(mat: np.ndarray, k: int, **kw):
         ) from exc
 
 
+@functools.cache
+def _openblas_thread_controls():
+    """``(get, set)`` thread-count functions of numpy's bundled OpenBLAS.
+
+    ``None`` when numpy does not ship an OpenBLAS exporting them.
+    """
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            cdll = ctypes.CDLL(str(lib))
+            get = cdll.scipy_openblas_get_num_threads64_
+            set_ = cdll.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes = []
+        get.restype = ctypes.c_int
+        set_.argtypes = [ctypes.c_int]
+        set_.restype = None
+        return get, set_
+    return None
+
+
+class _BlasPin:
+    """Holds numpy's OpenBLAS at one thread while any holder is inside.
+
+    BLAS's thread count is global to the process, so overlapping holders
+    (nested calls, or slice pools started from several threads) share one
+    pin: the first to enter saves the count, the last to leave restores it.
+    Does nothing when the OpenBLAS controls are not found.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = None
+
+    @contextlib.contextmanager
+    def __call__(self):
+        controls = _openblas_thread_controls()
+        if controls is None:
+            yield
+            return
+        get, set_ = controls
+        with self._lock:
+            if self._depth == 0:
+                self._saved = get()
+                set_(1)
+            self._depth += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0:
+                    set_(self._saved)
+
+
+_blas_pinned = _BlasPin()
+
+
 def _map_slices(work, n3: int, threads: int):
     if threads and threads > 0:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+        with _blas_pinned(), ThreadPoolExecutor(max_workers=int(threads)) as pool:
             list(pool.map(work, range(n3)))
     else:
         for k in range(n3):
@@ -311,14 +378,24 @@ def t_tsvt(
     also be a length-``n3`` vector with one threshold per slice.
     """
     yhat = transform.apply(y).slices
-    n3 = y.dims[2]
-    taus = _threshold_vector(tau, n3)
+    taus = _threshold_vector(tau, y.dims[2])
+    return _shrink(yhat, transform, threads, lambda k, s: taus[k])
+
+
+def _shrink(yhat: np.ndarray, transform: UnitaryTransform, threads: int, threshold):
+    """Soft-threshold each transformed slice and transform back.
+
+    ``yhat`` is the ``(n3, n1, n2)`` stack of transformed slices. Slice
+    ``k`` has its singular values ``s`` (nonincreasing) shrunk by
+    ``threshold(k, s)``, so a threshold may depend on the slice's own
+    spectrum without a second SVD.
+    """
     out = np.zeros_like(yhat)
 
     def shrink(k: int):
         u, s, vh = _svd(yhat[k], k, full_matrices=False)
-        shrunk = np.maximum(s - taus[k], 0.0)
+        shrunk = np.maximum(s - threshold(k, s), 0.0)
         out[k] = (u * shrunk) @ vh
 
-    _map_slices(shrink, n3, threads)
+    _map_slices(shrink, yhat.shape[0], threads)
     return transform.apply_adjoint(ComplexTensor3._wrap(out))

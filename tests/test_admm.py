@@ -446,6 +446,63 @@ class TestSolveGeneralized:
             if svals[k].max() > 0:
                 assert z_svals[k].max() > 0
 
+    @pytest.mark.parametrize("threads", [0, 2])
+    @pytest.mark.parametrize("case", ["phantom", "n3=1", "zero"])
+    def test_relative_step_is_tsvt_at_relative_thresholds(self, case, threads):
+        # With gamma = 0 the first data step returns Z - L with L = 0, so the
+        # reconstruction is the relative shrinkage of the zero-filled start.
+        if case == "phantom":
+            spec, _, b = self._setup(seed=26)
+        else:
+            nt = 1 if case == "n3=1" else 4
+            spec = SamplingSpec(np.ones((nt, 6, 5), dtype=bool))
+            rng = np.random.default_rng(26)
+            x = rand_tensor(rng, spec.dims) if case == "n3=1" else ComplexTensor3.zeros(spec.dims)
+            b = forward(x, spec)
+        nt = spec.dims[2]
+        t = make_transform("dct", nt)
+        a = np.linspace(-3.0, 1.0, nt)
+        y = adjoint(b)
+        expected = t_tsvt(y, relative_thresholds(y, a, t), t)
+        report = solve_generalized(
+            b, spec, [IterationParams(gamma=0.0, eta=1.0, a=a)], t,
+            record_history=False, threads=threads,
+        )
+        dev = frobenius_norm(report.reconstruction - expected)
+        assert dev <= 1e-12 * frobenius_norm(expected)
+        if case == "zero":
+            assert frobenius_norm(report.reconstruction) == 0.0
+
+    @pytest.mark.parametrize("a, error, match", [
+        ([-2.0, -2.0, -2.0], DimensionError, "relative weight vector has shape"),
+        (float("nan"), ParameterError, "finite and nonnegative"),
+    ], ids=["wrong-length", "nan"])
+    def test_relative_weights_checked(self, a, error, match):
+        spec, _, b = self._setup(seed=27)
+        t = make_transform("dct", 4)
+        with pytest.raises(error, match=match):
+            solve_generalized(b, spec, [IterationParams(gamma=1.0, eta=1.0, a=a)], t)
+        if error is DimensionError:
+            with pytest.raises(error, match=match):
+                relative_thresholds(adjoint(b), a, t)
+
+    def test_relative_thresholds_match_expit_bitwise(self):
+        rng = np.random.default_rng(28)
+        t = make_transform("dct", 64)
+        y = rand_tensor(rng, (5, 4, 64))
+        svals_max = transformed_singular_values(y, t).max(axis=1)
+        edges = [-800.0, 800.0, -745.2, 709.8, -36.8, 36.8, -1e-300, 0.0, 5e-324]
+        weights = [
+            np.resize(edges, 64),
+            rng.uniform(-800.0, 800.0, 64),
+            rng.uniform(-40.0, 40.0, 64),
+            rng.standard_normal(64),
+            -800.0,
+            800.0,
+        ]
+        for a in weights:
+            assert np.array_equal(relative_thresholds(y, a, t), expit(a) * svals_max)
+
     def test_relative_mode_weight_limits(self):
         spec, _, b = self._setup(seed=19)
         t = make_transform("fft", 4)

@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,7 +327,7 @@ _SCHEDULE_ENTRY = {"gamma": 1.0, "eta": 1.0, "tau": 0.1}
     ({"mu": float("inf")}, "'mu'"),
     ({"mode": "generalized",
       "schedule": [{**_SCHEDULE_ENTRY, "gamma": float("nan")}]},
-     "'gamma'"),
+     "'schedule[0].gamma'"),
     ({"mode": "generalized",
       "schedule": [_SCHEDULE_ENTRY, {**_SCHEDULE_ENTRY, "tau": float("inf")}]},
      "'schedule[1].tau'"),
@@ -341,6 +345,58 @@ def test_non_finite_config_number_is_usage_error(pipeline, capsys, overrides, ke
     err = capsys.readouterr().err
     assert key in err and "finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({**_SCHEDULE_ENTRY, "eta": -1}, "'schedule[1].eta' must be nonnegative"),
+    ({**_SCHEDULE_ENTRY, "gamma": -2.0}, "'schedule[1].gamma' must be nonnegative"),
+    ({**_SCHEDULE_ENTRY, "gamma": "fast"}, "'schedule[1].gamma' must be a number"),
+    ({"eta": 1.0, "tau": 0.1}, "'schedule[1].gamma' is required"),
+], ids=["eta-negative", "gamma-negative", "gamma-string", "gamma-missing"])
+def test_schedule_error_names_the_entry(pipeline, capsys, entry, message):
+    tmp_path, _, mask, kspace = pipeline
+    cfg = write_config(tmp_path / "cfg.json", mode="generalized",
+                       schedule=[_SCHEDULE_ENTRY, entry])
+    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
+               "--out", tmp_path / "r.t2t") == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", [None, 3, ["m.npy"]], ids=["null", "number", "list"])
+@pytest.mark.parametrize("where", ["transform", "schedule"])
+def test_non_string_matrix_path_is_usage_error(pipeline, capsys, path, where):
+    tmp_path, _, mask, kspace = pipeline
+    transform = {"kind": "matrix", "matrix_path": path}
+    if where == "transform":
+        cfg = write_config(tmp_path / "cfg.json", transform=transform)
+        key = "'transform.matrix_path'"
+    else:
+        cfg = write_config(tmp_path / "cfg.json", mode="generalized",
+                           schedule=[{**_SCHEDULE_ENTRY, "transform": transform}])
+        key = "'schedule[0].transform.matrix_path'"
+    out = tmp_path / "r.t2t"
+    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
+               "--out", out) == 2
+    err = capsys.readouterr().err
+    assert key in err and "must be a string" in err
+    assert not out.exists()
+
+
+def test_import_loads_no_scipy():
+    # scipy costs start-up time and memory on every ttmri invocation; only
+    # ``ttmri check`` and the tests' oracles need it.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ttmri.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, path]))),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("target", ["config", "sidecar"])

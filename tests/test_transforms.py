@@ -127,6 +127,23 @@ class TestSpecialCases:
         assert np.allclose(t.apply(x).to_array(), oracle, atol=1e-12)
 
 
+    @pytest.mark.parametrize("n3", [1, 2, 7, 64])
+    def test_dct_matches_scipy_oracle(self, n3):
+        rng = np.random.default_rng(10)
+        x = rand_tensor(rng, (3, 4, n3))
+        t = make_transform("dct", n3)
+        w = transform_matrix("dct", n3)
+        for got, oracle in (
+            (t.apply(x), fiber_transform(x.to_array(), w)),
+            (t.apply_adjoint(x), fiber_transform(x.to_array(), w.conj().T)),
+        ):
+            dev = np.linalg.norm(got.to_array() - oracle) / np.linalg.norm(oracle)
+            assert dev <= 1e-13
+        real = ComplexTensor3(rng.standard_normal((n3, 3, 4)))
+        assert not t.apply(real).slices.imag.any()
+        assert not t.apply_adjoint(real).slices.imag.any()
+
+
 class TestMakeTransform:
     def test_identity_matrix_accepted(self):
         t = make_transform("matrix", 4, np.eye(4))

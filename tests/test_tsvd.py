@@ -1,16 +1,23 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from ttmri import (
     ComplexTensor3,
     DimensionError,
+    IterationParams,
     NumericError,
     ParameterError,
+    SamplingSpec,
+    forward,
     frobenius_norm,
     identity_tensor,
     inner_product,
     is_unitary_tensor,
     make_transform,
+    solve_generalized,
     sum_rank,
     t_product,
     t_tsvt,
@@ -21,6 +28,7 @@ from ttmri import (
     tt_svd,
     ttnn,
 )
+from ttmri import tsvd
 
 from conftest import (
     bdiag_dense,
@@ -461,3 +469,97 @@ def test_svd_failure_names_the_slice(monkeypatch, decompose):
     with pytest.raises(NumericError) as excinfo:
         decompose(x, t)
     assert excinfo.value.slice_index == 3
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """numpy's OpenBLAS set to 2 threads for the test, then set back."""
+    controls = tsvd._openblas_thread_controls()
+    if controls is None:
+        pytest.skip("numpy's OpenBLAS thread controls not found")
+    get, set_ = controls
+    saved = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(saved)
+
+
+def test_blas_pinned_inside_and_restored_after(blas_at_two_threads):
+    get = blas_at_two_threads
+    with tsvd._blas_pinned():
+        assert get() == 1
+        with tsvd._blas_pinned():
+            assert get() == 1
+        assert get() == 1
+    assert get() == 2
+    with pytest.raises(RuntimeError):
+        with tsvd._blas_pinned():
+            assert get() == 1
+            raise RuntimeError("boom")
+    assert get() == 2
+
+
+def test_blas_pin_shared_by_concurrent_holders(blas_at_two_threads):
+    # Two threads enter and leave the pin over and over with a short switch
+    # interval; a lost update of the holder count would restore BLAS while
+    # the other thread is still inside.
+    get = blas_at_two_threads
+    seen = []
+
+    def hold():
+        for _ in range(300):
+            with tsvd._blas_pinned():
+                seen.append(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hold) for _ in range(2)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert seen == [1] * 600
+    assert get() == 2
+
+
+def test_blas_pin_without_openblas_does_nothing(monkeypatch, blas_at_two_threads):
+    get = blas_at_two_threads
+    monkeypatch.setattr(tsvd, "_openblas_thread_controls", lambda: None)
+    with tsvd._blas_pinned():
+        assert get() == 2
+    rng = np.random.default_rng(27)
+    x = rand_tensor(rng, (5, 4, 3))
+    t = make_transform("dct", 3)
+    assert np.array_equal(t_tsvt(x, 0.2, t, threads=2).slices, t_tsvt(x, 0.2, t).slices)
+    assert get() == 2
+
+
+@pytest.mark.parametrize("threads, inside", [(0, 2), (2, 1)])
+def test_slice_pool_runs_with_blas_pinned(monkeypatch, blas_at_two_threads, threads, inside):
+    # Every slice SVD of a threaded call, the relative shrinkage of a solve
+    # included, runs with BLAS at one thread; threads = 0 leaves BLAS alone.
+    get = blas_at_two_threads
+    seen = []
+    real_svd = tsvd._svd
+
+    def recording_svd(mat, k, **kw):
+        seen.append(get())
+        return real_svd(mat, k, **kw)
+
+    monkeypatch.setattr(tsvd, "_svd", recording_svd)
+    rng = np.random.default_rng(28)
+    x = rand_tensor(rng, (5, 4, 3))
+    t = make_transform("dct", 3)
+    t_tsvt(x, 0.2, t, threads=threads)
+    tt_svd(x, t, threads=threads)
+    spec = SamplingSpec(np.ones((3, 5, 4), dtype=bool))
+    schedule = [IterationParams(gamma=1.0, eta=1.0, a=-2.0)] * 2
+    solve_generalized(forward(x, spec), spec, schedule, t, threads=threads)
+    assert seen == [inside] * 12
+    assert get() == 2
