@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, NumericError, ParameterError
-from .mri import KSpaceVector, SamplingSpec, adjoint, forward, spatial_fft, spatial_ifft
+from .mri import KSpaceVector, SamplingSpec, _centered_fft2, adjoint, forward
 from .tensor import ComplexTensor3, frobenius_norm
 from .transforms import UnitaryTransform
-from .tsvd import _shrink, t_tsvt, transformed_singular_values, ttnn
+from .tsvd import _shrink, _transformed_stack, t_tsvt, transformed_singular_values, ttnn
 
 __all__ = [
     "AdmmConfig",
@@ -155,10 +155,7 @@ def x_update_cartesian(
             raise NumericError(
                 "mu = 0 leaves unsampled k-space entries undefined (0/0)"
             )
-    numer = spatial_fft(z - l_prev).slices * mu
-    numer += spec.scatter(b.values)
-    numer /= spec.mask.astype(np.float64) + mu
-    return spatial_ifft(ComplexTensor3._wrap(numer))
+    return _data_consistency(z, l_prev, b, spec, 1.0, mu)
 
 
 def x_update_gamma(
@@ -180,18 +177,47 @@ def x_update_gamma(
     _check_kspace(b, spec)
     if gamma == 0:
         return z - l_prev
-    # Scattered values are laid out transposed; order="C" keeps the sum
-    # contiguous, so spatial_ifft does not have to copy it.
-    numer = np.add(spatial_fft(z - l_prev).slices, gamma * spec.scatter(b.values), order="C")
-    numer /= gamma * spec.mask.astype(np.float64) + 1.0
-    return spatial_ifft(ComplexTensor3._wrap(numer))
+    return _data_consistency(z, l_prev, b, spec, gamma, 1.0)
+
+
+def _data_consistency(
+    z: ComplexTensor3,
+    l_prev: ComplexTensor3,
+    b: KSpaceVector,
+    spec: SamplingSpec,
+    data_weight: float,
+    prior_weight: float,
+) -> ComplexTensor3:
+    """``(d A^H A + p)^{-1} (d A^H b + p (Z - L))`` for ``d, p >= 0``, ``d + p > 0``.
+
+    Both x-steps are this solve: the classic one with ``d = 1, p = mu``,
+    the gamma one with ``d = gamma, p = 1``. ``A^H A`` is diagonal in
+    k-space, so the solve is one division per entry. The whole step runs
+    in one fresh array: ``Z - L``, its centered FFT, the scaled data added
+    at the sampled entries, the division (``d + p`` where sampled, ``p``
+    elsewhere, skipped when ``p = 1``) and the inverse FFT. ``p = 0``
+    needs a full mask, or unsampled entries are 0/0.
+    """
+    k = _centered_fft2(np.subtract(z.slices, l_prev.slices), np.fft.fft)
+    if prior_weight != 1.0:
+        k *= prior_weight
+    data = b.values if data_weight == 1.0 else data_weight * b.values
+    np.add.at(k.reshape(-1), spec._grid_index(), data)
+    np.divide(k, data_weight + prior_weight, out=k, where=spec.mask)
+    if prior_weight != 1.0:
+        np.divide(k, prior_weight, out=k, where=~spec.mask)
+    return ComplexTensor3._wrap(_centered_fft2(k, np.fft.ifft))
 
 
 def l_update(
     l_prev: ComplexTensor3, z: ComplexTensor3, x: ComplexTensor3, eta: float
 ) -> ComplexTensor3:
     """Multiplier update ``L - eta * (Z - X)``."""
-    return l_prev - (z - x) * eta
+    if not l_prev.dims == z.dims == x.dims:
+        raise DimensionError(f"dimension mismatch: {l_prev.dims}, {z.dims}, {x.dims}")
+    out = np.subtract(z.slices, x.slices)
+    out *= eta
+    return ComplexTensor3._wrap(np.subtract(l_prev.slices, out, out=out))
 
 
 def _sigmoid(v: float) -> float:
@@ -228,17 +254,17 @@ def relative_thresholds(
 
 
 def _relative_shrink(
-    y: ComplexTensor3, a, transform: UnitaryTransform, threads: int
+    x: ComplexTensor3, l: ComplexTensor3, a, transform: UnitaryTransform, threads: int
 ) -> ComplexTensor3:
-    """``t_tsvt(y, relative_thresholds(y, a, transform), transform)``.
+    """``t_tsvt(y, relative_thresholds(y, a, transform), transform)`` at ``y = x + l``.
 
     Each slice's threshold comes from the SVD that shrinks it, so every
-    slice is decomposed once.
+    slice is decomposed once. ``y`` is freed once transformed.
     """
-    weights = _relative_weights(a, y.dims[2])
+    weights = _relative_weights(a, x.dims[2])
     if np.isnan(weights).any():
         raise ParameterError("thresholds must be finite and nonnegative")
-    yhat = transform.apply(y).slices
+    yhat = _transformed_stack(x + l, transform)
     return _shrink(yhat, transform, threads, lambda k, s: weights[k] * s[0])
 
 
@@ -248,7 +274,10 @@ def _all_finite(x: ComplexTensor3) -> bool:
 
 def _relative_change(x_new: ComplexTensor3, x_old: ComplexTensor3) -> float:
     denom = float(np.linalg.norm(x_old.slices))
-    delta = float(np.linalg.norm(x_new.slices - x_old.slices))
+    # Frame by frame, so the difference takes one frame of memory.
+    delta = math.hypot(*(
+        np.linalg.norm(new - old) for new, old in zip(x_new.slices, x_old.slices)
+    ))
     if denom == 0.0:
         return 0.0 if delta == 0.0 else np.inf
     return delta / denom
@@ -298,16 +327,14 @@ def _run(
                 f"iteration {n} transform size {transform.size} does not match nt={nt}"
             )
         tic = time.perf_counter()
-        y = x + l
         # Each iterate is released as soon as it is spent (the previous
-        # z before the shrinkage, y before the data step, the previous x
+        # z before the shrinkage, y = x + l once shrunk, the previous x
         # before the multiplier update), to keep peak memory down.
         z = None
         if params.tau is not None:
-            z = t_tsvt(y, params.tau, transform, threads=threads)
+            z = t_tsvt(x + l, params.tau, transform, threads=threads)
         else:
-            z = _relative_shrink(y, params.a, transform, threads)
-        del y
+            z = _relative_shrink(x, l, params.a, transform, threads)
         x_new = x_step(z, l)
         rel = _relative_change(x_new, x)
         x = x_new

@@ -288,7 +288,11 @@ def _cmd_recon(args):
         ref = fileio.load_tensor(_require_file(args.ref, "reference"))
         print(f"SNR_dB: {_format_snr(mri.snr(report.reconstruction, ref))}")
         inputs["ref"] = str(args.ref)
-    params = {"mode": mode, "config": str(args.config), "iterations_run": report.iterations_run}
+    outside_svd, svd = tsvd._blas_thread_counts()
+    params = {
+        "mode": mode, "config": str(args.config), "iterations_run": report.iterations_run,
+        "blas_threads": {"outside_svd": outside_svd, "svd": svd},
+    }
     _write_manifest(args, params, inputs, outputs, seed=seed)
     return EXIT_OK
 

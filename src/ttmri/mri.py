@@ -50,27 +50,33 @@ def dc_index(n: int) -> int:
 
 
 def _centered_fft2(stack: np.ndarray, fft) -> np.ndarray:
-    """Centered ``fft`` (``np.fft.fft`` or ``ifft``) over each frame.
+    """Centered unitary ``fft`` (``np.fft.fft`` or ``ifft``) of each frame, in place.
 
-    The two image axes are transformed one at a time, in the order
-    ``np.fft.fft2`` uses, and no intermediate is named, so each is freed
-    as soon as the next step has consumed it: at most two full-size
-    temporaries are alive at once.
+    ``stack`` is a writable C-contiguous ``(nt, nx, ny)`` array that
+    nothing else uses; it is returned. Each frame is ifftshifted, the two
+    image axes are transformed one at a time with ``out=stack``, in the
+    order ``np.fft.fft2`` uses, and each frame is fftshifted back. Only
+    the shifts take a temporary, one frame in size. (A 2-D call such as
+    ``np.fft.ifft2(a, out=a)`` does not give the right values; the
+    one-axis calls do.)
     """
-    return np.fft.fftshift(
-        fft(fft(np.fft.ifftshift(stack, axes=(1, 2)), axis=2, norm="ortho"), axis=1, norm="ortho"),
-        axes=(1, 2),
-    )
+    for frame in stack:
+        frame[...] = np.fft.ifftshift(frame)
+    fft(stack, axis=2, norm="ortho", out=stack)
+    fft(stack, axis=1, norm="ortho", out=stack)
+    for frame in stack:
+        frame[...] = np.fft.fftshift(frame)
+    return stack
 
 
 def spatial_fft(x: ComplexTensor3) -> ComplexTensor3:
     """Per-frame centered unitary 2D Fourier transform."""
-    return ComplexTensor3._wrap(_centered_fft2(x.slices, np.fft.fft))
+    return ComplexTensor3._wrap(_centered_fft2(x.slices.copy(), np.fft.fft))
 
 
 def spatial_ifft(k: ComplexTensor3) -> ComplexTensor3:
     """Exact inverse (and adjoint) of :func:`spatial_fft`."""
-    return ComplexTensor3._wrap(_centered_fft2(k.slices, np.fft.ifft))
+    return ComplexTensor3._wrap(_centered_fft2(k.slices.copy(), np.fft.ifft))
 
 
 class SamplingSpec:
@@ -82,7 +88,7 @@ class SamplingSpec:
     then the frame index ``k``.
     """
 
-    __slots__ = ("_mask", "_seed", "_descriptor", "_order")
+    __slots__ = ("_mask", "_seed", "_descriptor", "_index")
 
     def __init__(self, mask, seed=None, descriptor=None):
         arr = np.asarray(mask)
@@ -97,7 +103,7 @@ class SamplingSpec:
         self._mask = arr
         self._seed = seed
         self._descriptor = dict(descriptor) if descriptor else {}
-        self._order = None
+        self._index = None
 
     @property
     def mask(self) -> np.ndarray:
@@ -123,23 +129,29 @@ class SamplingSpec:
     def descriptor(self) -> dict:
         return dict(self._descriptor)
 
-    def _raster_order(self) -> np.ndarray:
-        # Flat indices into the (nt, ny, nx)-transposed mask, which makes
-        # i the fastest-varying coordinate of the sampled sequence.
-        if self._order is None:
-            self._order = np.flatnonzero(self._mask.transpose(0, 2, 1).ravel())
-        return self._order
+    def _grid_index(self) -> np.ndarray:
+        """Flat index into the C-ordered ``(nt, nx, ny)`` grid of each sampled entry.
+
+        Entries come in the sampled order: ``i`` fastest, then ``j``, then
+        the frame. Built once and kept read-only.
+        """
+        if self._index is None:
+            nt, nx, ny = self._mask.shape
+            k, j, i = np.nonzero(self._mask.transpose(0, 2, 1))
+            index = (k * nx + i) * ny + j
+            index.flags.writeable = False
+            self._index = index
+        return self._index
 
     def gather(self, stack: np.ndarray) -> np.ndarray:
         """Extract the sampled entries of a ``(nt, nx, ny)`` array."""
-        return stack.transpose(0, 2, 1).reshape(-1)[self._raster_order()]
+        return stack.reshape(-1)[self._grid_index()]
 
     def scatter(self, values: np.ndarray) -> np.ndarray:
         """Place sampled values on a zero-filled ``(nt, nx, ny)`` grid."""
-        nt, nx, ny = self._mask.shape
-        flat = np.zeros(nt * nx * ny, dtype=np.complex128)
-        flat[self._raster_order()] = values
-        return flat.reshape(nt, ny, nx).transpose(0, 2, 1)
+        flat = np.zeros(self._mask.size, dtype=np.complex128)
+        flat[self._grid_index()] = values
+        return flat.reshape(self._mask.shape)
 
     def __repr__(self):
         nx, ny, nt = self.dims
@@ -181,13 +193,16 @@ def forward(x: ComplexTensor3, spec: SamplingSpec) -> KSpaceVector:
     """Sample the per-frame Fourier transform of ``x`` at the mask locations."""
     if x.dims != spec.dims:
         raise DimensionError(f"image dims {x.dims} do not match mask dims {spec.dims}")
-    k = spatial_fft(x)
-    return KSpaceVector(spec.gather(k.slices), spec)
+    # The transformed stack is freed once gathered, before the values are
+    # copied into the vector.
+    values = spec.gather(spatial_fft(x).slices)
+    return KSpaceVector(values, spec)
 
 
 def adjoint(b: KSpaceVector) -> ComplexTensor3:
     """Adjoint of :func:`forward`: scatter to k-space, then inverse transform."""
-    return spatial_ifft(ComplexTensor3._wrap(b.spec.scatter(b.values)))
+    # The scattered grid is fresh and C-ordered, so it is transformed in place.
+    return ComplexTensor3._wrap(_centered_fft2(b.spec.scatter(b.values), np.fft.ifft))
 
 
 def _bresenham(i0: int, j0: int, i1: int, j1: int):

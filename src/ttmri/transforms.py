@@ -71,6 +71,16 @@ class UnitaryTransform:
             return ComplexTensor3._wrap(_mode3_product(_dct_matrix(self.size).T, stack))
         return ComplexTensor3._wrap(_mode3_product(self.matrix.conj().T, stack))
 
+    def _apply_adjoint_in_place(self, stack: np.ndarray) -> ComplexTensor3:
+        """:meth:`apply_adjoint` of a writable stack that nothing else uses.
+
+        The FFT overwrites ``stack``; the other kinds are not in-place
+        operations and leave it to be freed.
+        """
+        if self.kind == "fft":
+            return ComplexTensor3._wrap(np.fft.ifft(stack, axis=0, norm="ortho", out=stack))
+        return self.apply_adjoint(ComplexTensor3._wrap(stack))
+
     def __repr__(self):
         return f"UnitaryTransform(kind={self.kind!r}, size={self.size})"
 

@@ -10,9 +10,10 @@ proximal map of the nuclear norm.
 
 Per-slice SVDs are independent; ``threads=0`` selects the sequential
 reference loop and ``threads=n`` runs the same per-slice work on a thread
-pool, writing each slice exactly once. While the pool runs, numpy's
-OpenBLAS is pinned to one thread, so the ``n`` workers do not each start
-BLAS threads of their own on the same cores.
+pool, writing each slice exactly once. Every slice SVD, at every
+``threads`` value, runs with numpy's OpenBLAS pinned to one thread: the
+``n`` workers do not each start BLAS threads of their own on the same
+cores, and a single slice is too small for BLAS threads to pay off.
 """
 
 from __future__ import annotations
@@ -152,13 +153,25 @@ class _BlasPin:
 _blas_pinned = _BlasPin()
 
 
+def _blas_thread_counts():
+    """``(outside, svd)``: OpenBLAS's thread count and the count the slice SVDs run with.
+
+    Both are ``None`` when the OpenBLAS thread controls are not found.
+    """
+    controls = _openblas_thread_controls()
+    if controls is None:
+        return None, None
+    return controls[0](), 1
+
+
 def _map_slices(work, n3: int, threads: int):
-    if threads and threads > 0:
-        with _blas_pinned(), ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            list(pool.map(work, range(n3)))
-    else:
-        for k in range(n3):
-            work(k)
+    with _blas_pinned():
+        if threads and threads > 0:
+            with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+                list(pool.map(work, range(n3)))
+        else:
+            for k in range(n3):
+                work(k)
 
 
 def t_product(
@@ -303,15 +316,18 @@ def transformed_singular_values(
     """Singular values of every transformed frontal slice.
 
     Returns an array of shape ``(n3, min(n1, n2))`` with nonincreasing rows.
+    The batched SVD runs with BLAS pinned to one thread, as the shrinkage's
+    slice SVDs do.
     """
     xhat = transform.apply(x).slices
-    try:
-        return np.linalg.svd(xhat, compute_uv=False)
-    except np.linalg.LinAlgError:
-        # Retry slice by slice to report which one failed.
-        for k in range(xhat.shape[0]):
-            _svd(xhat[k], k, compute_uv=False)
-        raise
+    with _blas_pinned():
+        try:
+            return np.linalg.svd(xhat, compute_uv=False)
+        except np.linalg.LinAlgError:
+            # Retry slice by slice to report which one failed.
+            for k in range(xhat.shape[0]):
+                _svd(xhat[k], k, compute_uv=False)
+            raise
 
 
 def transformed_multirank(
@@ -377,25 +393,40 @@ def t_tsvt(
     slice is recomposed and the adjoint transform applied. ``tau`` may
     also be a length-``n3`` vector with one threshold per slice.
     """
-    yhat = transform.apply(y).slices
+    yhat = _transformed_stack(y, transform)
     taus = _threshold_vector(tau, y.dims[2])
     return _shrink(yhat, transform, threads, lambda k, s: taus[k])
+
+
+def _transformed_stack(y: ComplexTensor3, transform: UnitaryTransform) -> np.ndarray:
+    """``transform.apply(y)`` as a writable stack that shares no memory with ``y``.
+
+    ``apply`` returns a fresh array for every transform but the identity,
+    which returns ``y`` itself; that one is copied.
+    """
+    yhat = transform.apply(y)
+    if yhat is y:
+        return y.slices.copy()
+    stack = yhat.slices
+    stack.flags.writeable = True
+    return stack
 
 
 def _shrink(yhat: np.ndarray, transform: UnitaryTransform, threads: int, threshold):
     """Soft-threshold each transformed slice and transform back.
 
-    ``yhat`` is the ``(n3, n1, n2)`` stack of transformed slices. Slice
-    ``k`` has its singular values ``s`` (nonincreasing) shrunk by
-    ``threshold(k, s)``, so a threshold may depend on the slice's own
-    spectrum without a second SVD.
+    ``yhat`` is the ``(n3, n1, n2)`` stack of transformed slices, writable
+    and used by nothing else (see :func:`_transformed_stack`): each slice is
+    recomposed into it after its SVD, and the adjoint transform reuses it
+    where it can. Slice ``k`` has its singular values ``s``
+    (nonincreasing) shrunk by ``threshold(k, s)``, so a threshold may
+    depend on the slice's own spectrum without a second SVD.
     """
-    out = np.zeros_like(yhat)
 
     def shrink(k: int):
         u, s, vh = _svd(yhat[k], k, full_matrices=False)
-        shrunk = np.maximum(s - threshold(k, s), 0.0)
-        out[k] = (u * shrunk) @ vh
+        u *= np.maximum(s - threshold(k, s), 0.0)
+        np.matmul(u, vh, out=yhat[k])
 
     _map_slices(shrink, yhat.shape[0], threads)
-    return transform.apply_adjoint(ComplexTensor3._wrap(out))
+    return transform._apply_adjoint_in_place(yhat)

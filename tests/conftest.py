@@ -43,3 +43,44 @@ def bdiag_dense(arr_ijk: np.ndarray) -> np.ndarray:
 
 def nuclear_norm_dense(mat: np.ndarray) -> float:
     return float(np.linalg.svd(mat, compute_uv=False).sum())
+
+
+def centered_fft2_oracle(stack: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Per-frame centered unitary 2D (inverse) FFT of an (nt, nx, ny) array."""
+    fft2 = np.fft.ifft2 if inverse else np.fft.fft2
+    shifted = np.fft.ifftshift(stack, axes=(1, 2))
+    return np.fft.fftshift(fft2(shifted, axes=(1, 2), norm="ortho"), axes=(1, 2))
+
+
+def _raster_order(mask: np.ndarray) -> np.ndarray:
+    # Flat indices into the (nt, ny, nx)-transposed mask, which makes i the
+    # fastest-varying coordinate of the sampled sequence.
+    return np.flatnonzero(mask.transpose(0, 2, 1).ravel())
+
+
+def gather_oracle(mask: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The sampled entries of an (nt, nx, ny) array, through the transposed raster."""
+    return stack.transpose(0, 2, 1).reshape(-1)[_raster_order(mask)]
+
+
+def scatter_oracle(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sampled values on a zero-filled (nt, nx, ny) grid, through the transposed raster."""
+    nt, nx, ny = mask.shape
+    flat = np.zeros(nt * nx * ny, dtype=np.complex128)
+    flat[_raster_order(mask)] = values
+    return flat.reshape(nt, ny, nx).transpose(0, 2, 1)
+
+
+# Even, odd and rectangular grids, and a single frame.
+LAYOUT_DIMS = [(8, 8, 3), (7, 9, 2), (8, 5, 3), (6, 6, 1)]
+
+
+def layout_masks(dims, seed):
+    """An empty, a full and a random mask of logical dims ``(nx, ny, nt)``."""
+    nx, ny, nt = dims
+    rng = np.random.default_rng(seed)
+    return {
+        "empty": np.zeros((nt, nx, ny), dtype=bool),
+        "full": np.ones((nt, nx, ny), dtype=bool),
+        "random": rng.random((nt, nx, ny)) < 0.4,
+    }

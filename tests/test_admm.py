@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ttmri import (
     adjoint,
     forward,
     frobenius_norm,
+    gen_pseudo_radial_mask,
     gen_vds_mask,
     l_update,
     make_phantom,
@@ -36,7 +38,13 @@ from ttmri import (
     z_update,
 )
 
-from conftest import rand_tensor
+from conftest import (
+    LAYOUT_DIMS,
+    centered_fft2_oracle,
+    layout_masks,
+    rand_tensor,
+    scatter_oracle,
+)
 
 
 def random_kspace(rng, spec):
@@ -185,6 +193,111 @@ class TestXUpdateGamma:
             x_update_gamma(z, z, b, spec, -0.1)
 
 
+class TestDataConsistencyLayout:
+    # Both x-steps against the out-of-place formulas they replace, written
+    # here with the fft2 oracle and the transposed-raster scatter. The
+    # arithmetic is the same, so the results must be equal.
+
+    @pytest.mark.parametrize("dims", LAYOUT_DIMS)
+    def test_x_steps_match_old_formulas(self, dims):
+        rng = np.random.default_rng(44)
+        z, l = rand_tensor(rng, dims), rand_tensor(rng, dims)
+        diff = z.slices - l.slices
+        for name, mask in layout_masks(dims, 45).items():
+            spec = SamplingSpec(mask)
+            b = random_kspace(rng, spec)
+            scattered = scatter_oracle(mask, b.values)
+            for mu in (0.3, 1.0) + ((0.0,) if name == "full" else ()):
+                numer = centered_fft2_oracle(diff) * mu + scattered
+                expected = centered_fft2_oracle(numer / (mask + mu), inverse=True)
+                x = x_update_cartesian(z, l, b, spec, mu)
+                assert np.array_equal(x.slices, expected), (name, mu)
+            for gamma in (0.5, 1.0, 4.0):
+                numer = centered_fft2_oracle(diff) + gamma * scattered
+                expected = centered_fft2_oracle(numer / (gamma * mask + 1.0), inverse=True)
+                x = x_update_gamma(z, l, b, spec, gamma)
+                assert np.array_equal(x.slices, expected), (name, gamma)
+            assert np.array_equal(z.slices - l.slices, diff)
+
+
+class TestInPlaceAliasing:
+    # The shrinkage recomposes into the transformed stack; under the
+    # identity transform that stack must be a copy, not the caller's data.
+
+    @pytest.mark.parametrize("threads", [0, 2])
+    def test_tsvt_and_z_update_leave_inputs_alone(self, threads):
+        rng = np.random.default_rng(46)
+        t = make_transform("identity", 3)
+        x, l = rand_tensor(rng, (6, 5, 3)), rand_tensor(rng, (6, 5, 3))
+        saved = [x.slices.copy(), l.slices.copy()]
+        z = t_tsvt(x, 0.5, t, threads=threads)
+        z2 = z_update(x, l, 0.5, 2.0, t, threads=threads)
+        for tensor, before in zip((x, l), saved):
+            assert np.array_equal(tensor.slices, before)
+            assert not tensor.slices.flags.writeable
+            assert not np.shares_memory(tensor.slices, z.slices)
+            assert not np.shares_memory(tensor.slices, z2.slices)
+        assert frobenius_norm(z) < frobenius_norm(x)
+
+    def test_relative_solve_leaves_iterates_alone(self):
+        # The relative solve equals the loop written out with public
+        # steps, each of which returns a new tensor.
+        rng = np.random.default_rng(47)
+        spec = gen_vds_mask(8, 7, 3, accel=2.0, seed=8)
+        t = make_transform("identity", 3)
+        b = random_kspace(rng, spec)
+        saved = b.values.copy()
+        schedule = [IterationParams(gamma=2.0, eta=1.0, a=-1.0)] * 3
+        report = solve_generalized(b, spec, schedule, t, record_history=False)
+        x, l = adjoint(b), ComplexTensor3.zeros(spec.dims)
+        for params in schedule:
+            y = x + l
+            z = t_tsvt(y, relative_thresholds(y, params.a, t), t)
+            x = x_update_gamma(z, l, b, spec, params.gamma)
+            l = l_update(l, z, x, params.eta)
+        dev = frobenius_norm(report.reconstruction - x)
+        assert dev <= 1e-12 * frobenius_norm(x)
+        assert np.array_equal(b.values, saved)
+        assert not b.values.flags.writeable
+
+
+class TestWorkingSet:
+    # Peak memory a solve allocates above its inputs, in image-tensor
+    # sizes: x, l, z and one more image-sized array, plus slice- and
+    # frame-sized temporaries (a sixteenth each here).
+    LIMIT = 4.6
+
+    @staticmethod
+    def _peak_over_inputs(run) -> float:
+        run()  # the first call fills the caches (DCT matrix, grid index)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - base
+
+    def _inputs(self, kind):
+        truth = make_phantom(64, 64, 16, "moving_ellipse", 48)
+        spec = gen_pseudo_radial_mask(64, 64, 16, 12, 48)
+        return truth.slices.nbytes, spec, forward(truth, spec), make_transform(kind, 16)
+
+    def test_classic_fft_with_history(self):
+        nbytes, spec, b, t = self._inputs("fft")
+        config = AdmmConfig(lam=0.03, mu=0.1, transform=t, max_iters=3, rel_tol=0.0)
+        peak = self._peak_over_inputs(lambda: solve(b, spec, config))
+        assert peak <= self.LIMIT * nbytes
+
+    def test_generalized_relative_dct_threaded(self):
+        nbytes, spec, b, t = self._inputs("dct")
+        schedule = [IterationParams(gamma=10.0, eta=1.0, a=-2.0)] * 3
+        peak = self._peak_over_inputs(lambda: solve_generalized(
+            b, spec, schedule, t, record_history=False, threads=2))
+        assert peak <= self.LIMIT * nbytes
+
+
 class TestLUpdate:
     def test_consensus_keeps_multiplier(self):
         rng = np.random.default_rng(11)
@@ -202,6 +315,12 @@ class TestLUpdate:
         eta = 1.3
         expected = l.slices - eta * (z.slices - x.slices)
         assert np.allclose(l_update(l, z, x, eta).slices, expected, rtol=1e-15)
+
+    def test_dimension_mismatch(self):
+        rng = np.random.default_rng(14)
+        l, z = rand_tensor(rng, (4, 3, 2)), rand_tensor(rng, (4, 3, 2))
+        with pytest.raises(DimensionError):
+            l_update(l, z, rand_tensor(rng, (3, 4, 2)), 1.0)
 
 
 class TestSolve:

@@ -29,7 +29,7 @@ from ttmri import (
     solve_generalized,
     sum_rank,
 )
-from ttmri import cli
+from ttmri import cli, tsvd
 from ttmri.cli import ConfigError, main
 from ttmri.fileio import load_kspace, load_mask, load_tensor, save_tensor
 
@@ -432,7 +432,7 @@ def test_manifest_keys_of_every_file_producing_command(pipeline, tmp_path):
         "mask.t2t": ("mask", 1, {"pattern", "lines", "freeze_angles", "theta0",
                                  "nx", "ny", "nt", "m"}, set(), 1),
         "b.t2k": ("forward", 0, {"sigma", "m"}, {"image", "mask"}, 2),
-        "rec.t2t": ("recon", 11, {"mode", "config", "iterations_run"},
+        "rec.t2t": ("recon", 11, {"mode", "config", "iterations_run", "blas_threads"},
                     {"kspace", "mask", "ref"}, 2),
         "fac": ("tsvd", 4, {"transform", "matrix_path"}, {"tensor"}, 4),
     }
@@ -446,6 +446,9 @@ def test_manifest_keys_of_every_file_producing_command(pipeline, tmp_path):
         assert set(manifest["inputs"]) == inputs
         assert len(manifest["outputs"]) == n_outputs
         assert manifest["wall_time_s"] >= 0
+    recon = json.loads((tmp_path / "rec.t2t.manifest.json").read_text())
+    outside_svd, svd = tsvd._blas_thread_counts()
+    assert recon["parameters"]["blas_threads"] == {"outside_svd": outside_svd, "svd": svd}
 
 
 @pytest.mark.parametrize("mode", ["classic", "generalized"])

@@ -24,7 +24,16 @@ from ttmri import (
     sum_rank,
 )
 
-from conftest import rand_tensor
+from ttmri import mri
+
+from conftest import (
+    LAYOUT_DIMS,
+    centered_fft2_oracle,
+    gather_oracle,
+    layout_masks,
+    rand_tensor,
+    scatter_oracle,
+)
 
 
 class TestSpatialFft:
@@ -375,3 +384,46 @@ class TestSamplingSpec:
         spec = SamplingSpec(np.ones((1, 2, 2), dtype=bool))
         with pytest.raises(ValueError):
             spec.mask[0, 0, 0] = False
+
+
+class TestInPlaceLayout:
+    # The in-place centered FFT and the direct grid index against the
+    # out-of-place formulas they replace; both do the same arithmetic, so
+    # the results must be equal, not just close.
+
+    @pytest.mark.parametrize("dims", LAYOUT_DIMS)
+    def test_centered_fft_matches_fft2_oracle(self, dims):
+        rng = np.random.default_rng(40)
+        x = rand_tensor(rng, dims)
+        for fft, inverse in ((np.fft.fft, False), (np.fft.ifft, True)):
+            stack = x.slices.copy()
+            assert mri._centered_fft2(stack, fft) is stack
+            assert np.array_equal(stack, centered_fft2_oracle(x.slices, inverse))
+        assert np.array_equal(spatial_fft(x).slices, centered_fft2_oracle(x.slices))
+        assert np.array_equal(spatial_ifft(x).slices, centered_fft2_oracle(x.slices, True))
+
+    @pytest.mark.parametrize("dims", LAYOUT_DIMS)
+    def test_spatial_fft_leaves_its_input_alone(self, dims):
+        x = rand_tensor(np.random.default_rng(41), dims)
+        before = x.slices.copy()
+        spatial_fft(x)
+        spatial_ifft(x)
+        assert np.array_equal(x.slices, before)
+        assert not x.slices.flags.writeable
+
+    @pytest.mark.parametrize("dims", LAYOUT_DIMS)
+    def test_gather_scatter_forward_match_raster_oracle(self, dims):
+        rng = np.random.default_rng(42)
+        x = rand_tensor(rng, dims)
+        for name, mask in layout_masks(dims, 43).items():
+            spec = SamplingSpec(mask)
+            stack = x.slices
+            assert np.array_equal(spec.gather(stack), gather_oracle(mask, stack)), name
+            assert np.array_equal(
+                spec.gather(stack.transpose(0, 2, 1).copy().transpose(0, 2, 1)),
+                gather_oracle(mask, stack),
+            ), name
+            values = rng.standard_normal(spec.m) + 1j * rng.standard_normal(spec.m)
+            assert np.array_equal(spec.scatter(values), scatter_oracle(mask, values)), name
+            expected = gather_oracle(mask, centered_fft2_oracle(stack))
+            assert np.array_equal(forward(x, spec).values, expected), name

@@ -533,6 +533,7 @@ def test_blas_pin_without_openblas_does_nothing(monkeypatch, blas_at_two_threads
     monkeypatch.setattr(tsvd, "_openblas_thread_controls", lambda: None)
     with tsvd._blas_pinned():
         assert get() == 2
+    assert tsvd._blas_thread_counts() == (None, None)
     rng = np.random.default_rng(27)
     x = rand_tensor(rng, (5, 4, 3))
     t = make_transform("dct", 3)
@@ -540,10 +541,10 @@ def test_blas_pin_without_openblas_does_nothing(monkeypatch, blas_at_two_threads
     assert get() == 2
 
 
-@pytest.mark.parametrize("threads, inside", [(0, 2), (2, 1)])
+@pytest.mark.parametrize("threads, inside", [(0, 1), (2, 1)])
 def test_slice_pool_runs_with_blas_pinned(monkeypatch, blas_at_two_threads, threads, inside):
-    # Every slice SVD of a threaded call, the relative shrinkage of a solve
-    # included, runs with BLAS at one thread; threads = 0 leaves BLAS alone.
+    # Every slice SVD, the relative shrinkage of a solve included, runs
+    # with BLAS at one thread, sequential or threaded.
     get = blas_at_two_threads
     seen = []
     real_svd = tsvd._svd
@@ -562,4 +563,40 @@ def test_slice_pool_runs_with_blas_pinned(monkeypatch, blas_at_two_threads, thre
     schedule = [IterationParams(gamma=1.0, eta=1.0, a=-2.0)] * 2
     solve_generalized(forward(x, spec), spec, schedule, t, threads=threads)
     assert seen == [inside] * 12
+    assert get() == 2
+
+
+def test_singular_values_run_with_blas_pinned(monkeypatch, blas_at_two_threads):
+    # The batched values-only SVD behind ttnn (the history's second SVD
+    # pass) runs with BLAS at one thread and restores the count, also
+    # when the SVD fails.
+    get = blas_at_two_threads
+    assert tsvd._blas_thread_counts() == (2, 1)
+    rng = np.random.default_rng(29)
+    x = rand_tensor(rng, (6, 5, 4))
+    t = make_transform("fft", 4)
+    with tsvd._blas_pinned():
+        expected = np.linalg.svd(t.apply(x).slices, compute_uv=False)
+    seen = []
+    real_svd = np.linalg.svd
+
+    def recording_svd(*args, **kw):
+        seen.append(get())
+        return real_svd(*args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert np.array_equal(transformed_singular_values(x, t), expected)
+    assert ttnn(x, t) == float(expected.sum())
+    assert seen == [1, 1]
+    assert get() == 2
+
+    def failing_svd(*args, **kw):
+        seen.append(get())
+        raise np.linalg.LinAlgError("no convergence")
+
+    seen.clear()
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    with pytest.raises(NumericError):
+        ttnn(x, t)
+    assert seen == [1, 1]
     assert get() == 2
