@@ -4,12 +4,12 @@ The classic solver minimises
 ``0.5 * ||A(X) - b||^2 + lambda * ||X||_nuclear`` with an auxiliary
 variable and a scaled multiplier, alternating a singular value shrinkage
 step, a closed-form Cartesian data-consistency step, and a multiplier
-update. A generalised variant runs the same loop, :func:`_run`, with
-per-iteration hyperparameters: per-slice thresholds (absolute, or
-relative to each slice's largest singular value through a sigmoid
-weight), a data weight ``gamma`` replacing ``1/mu`` so that ``gamma = 0``
-stays well defined, and optionally a different unitary transform per
-iteration; classic mode is its constant schedule.
+update. The generalised solver runs the same loop with per-iteration
+hyperparameters: per-slice thresholds (absolute, or relative to each
+slice's largest singular value through a sigmoid weight), a data weight
+``gamma`` replacing ``1/mu`` so that ``gamma = 0`` stays well defined,
+and optionally a different unitary transform per iteration. Classic mode
+is its constant schedule, bit for bit.
 """
 
 from __future__ import annotations
@@ -54,15 +54,16 @@ class AdmmConfig:
     record_history: bool = True
 
     def __post_init__(self):
-        if self.lam < 0:
+        # Written as "not x >= 0" so that NaN fails the check too.
+        if not self.lam >= 0:
             raise ParameterError(f"lambda must be nonnegative, got {self.lam}")
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise ParameterError(f"mu must be positive, got {self.mu}")
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ParameterError(f"eta must be positive, got {self.eta}")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.rel_tol < 0:
+        if not self.rel_tol >= 0:
             raise ParameterError(f"rel_tol must be nonnegative, got {self.rel_tol}")
 
 
@@ -83,9 +84,9 @@ class IterationParams:
     transform: UnitaryTransform | None = None
 
     def __post_init__(self):
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ParameterError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.eta < 0:
+        if not self.eta >= 0:
             raise ParameterError(f"eta must be nonnegative, got {self.eta}")
         if (self.tau is None) == (self.a is None):
             raise ParameterError("exactly one of tau (absolute) and a (relative) is required")
@@ -119,9 +120,9 @@ def z_update(
     threads: int = 0,
 ) -> ComplexTensor3:
     """Shrinkage step: prox of ``(lam/mu) * ||.||_nuclear`` at ``X + L``."""
-    if mu <= 0:
+    if not mu > 0:
         raise ParameterError(f"mu must be positive, got {mu}")
-    if lam < 0:
+    if not lam >= 0:
         raise ParameterError(f"lambda must be nonnegative, got {lam}")
     return t_tsvt(x_prev + l_prev, lam / mu, transform, threads=threads)
 
@@ -144,7 +145,7 @@ def x_update_cartesian(
     element-wise division in k-space. ``mu = 0`` is only defined when the
     mask is full; otherwise unsampled entries would be 0/0.
     """
-    if mu < 0:
+    if not mu >= 0:
         raise ParameterError(f"mu must be nonnegative, got {mu}")
     if z.dims != spec.dims or l_prev.dims != spec.dims:
         raise DimensionError("tensor dims do not match the sampling spec")
@@ -170,7 +171,7 @@ def x_update_gamma(
     Stable for every ``gamma >= 0``; ``gamma = 0`` returns ``Z - L``
     exactly.
     """
-    if gamma < 0:
+    if not gamma >= 0:
         raise ParameterError(f"gamma must be nonnegative, got {gamma}")
     if z.dims != spec.dims or l_prev.dims != spec.dims:
         raise DimensionError("tensor dims do not match the sampling spec")
@@ -237,6 +238,8 @@ def _relative_weights(a, nt: int) -> np.ndarray:
         raise DimensionError(
             f"relative weight vector has shape {weights.shape}, expected ({nt},)"
         )
+    if np.isnan(weights).any():
+        raise ParameterError("thresholds must be finite and nonnegative")
     return np.array([_sigmoid(v) for v in weights.tolist()])
 
 
@@ -262,8 +265,6 @@ def _relative_shrink(
     slice is decomposed once. ``y`` is freed once transformed.
     """
     weights = _relative_weights(a, x.dims[2])
-    if np.isnan(weights).any():
-        raise ParameterError("thresholds must be finite and nonnegative")
     yhat = _transformed_stack(x + l, transform)
     return _shrink(yhat, transform, threads, lambda k, s: weights[k] * s[0])
 
@@ -301,27 +302,66 @@ def _iteration_stats(
     return IterationStats(n, objective, fidelity, nuclear, primal, elapsed_ms)
 
 
-def _run(
+def solve(
     b: KSpaceVector,
     spec: SamplingSpec,
-    plan,
-    rel_tol: float,
-    record_history: bool,
-    report_lambda: float,
-    threads: int,
+    config: AdmmConfig,
+    threads: int = 0,
 ) -> ReconReport:
-    """The ADMM loop behind both solvers.
+    """Run the classic solver from the zero-filled initial guess.
 
-    Runs one iteration per ``(IterationParams, transform, x_step)`` entry
-    of ``plan``; ``x_step(z, l)`` is the data-consistency step.
+    Starts at ``X0 = A^H(b)``, ``Z0 = X0``, ``L0 = 0`` and iterates the
+    shrinkage, data-consistency, and multiplier steps in that order until
+    the relative change of ``X`` drops below ``rel_tol`` or ``max_iters``
+    is reached. This is the generalised solver on the constant schedule
+    ``tau = lam/mu``, ``gamma = 1/mu`` with a fixed ``eta`` and transform.
+
+    Raises
+    ------
+    DivergenceError
+        If any iterate or reported quantity becomes non-finite; the
+        iteration index is attached.
     """
+    mu = config.mu
+    params = IterationParams(gamma=1.0 / mu, eta=config.eta, tau=config.lam / mu)
+    return solve_generalized(
+        b, spec, [params] * config.max_iters, config.transform, config.rel_tol,
+        config.record_history, config.lam, threads,
+    )
+
+
+def solve_generalized(
+    b: KSpaceVector,
+    spec: SamplingSpec,
+    schedule: list[IterationParams],
+    init_transform: UnitaryTransform,
+    rel_tol: float = 0.0,
+    record_history: bool = True,
+    report_lambda: float = 0.0,
+    threads: int = 0,
+) -> ReconReport:
+    """Run the per-iteration-parameter scheme over a schedule.
+
+    Each schedule entry supplies the thresholds (absolute ``tau`` or
+    relative ``a``), the data weight ``gamma``, the multiplier rate
+    ``eta``, and optionally its own transform (``init_transform`` is the
+    default). The loop stops early once the relative change of ``X``
+    drops below ``rel_tol``. The reported objective uses
+    ``report_lambda`` as the nuclear-norm weight, since the generalised
+    scheme has no single regularisation parameter.
+    """
+    if not schedule:
+        raise ParameterError("schedule must contain at least one entry")
+    if not rel_tol >= 0:
+        raise ParameterError(f"rel_tol must be nonnegative, got {rel_tol}")
     _check_kspace(b, spec)
     nt = spec.dims[2]
     x = adjoint(b)
     l = ComplexTensor3.zeros(spec.dims)
     history: list[IterationStats] = []
     iterations = 0
-    for n, (params, transform, x_step) in enumerate(plan, start=1):
+    for n, params in enumerate(schedule, start=1):
+        transform = params.transform if params.transform is not None else init_transform
         if transform.size != nt:
             raise DimensionError(
                 f"iteration {n} transform size {transform.size} does not match nt={nt}"
@@ -335,7 +375,7 @@ def _run(
             z = t_tsvt(x + l, params.tau, transform, threads=threads)
         else:
             z = _relative_shrink(x, l, params.a, transform, threads)
-        x_new = x_step(z, l)
+        x_new = x_update_gamma(z, l, b, spec, params.gamma)
         rel = _relative_change(x_new, x)
         x = x_new
         l = l_update(l, z, x, params.eta)
@@ -357,73 +397,3 @@ def _run(
         if rel < rel_tol:
             break
     return ReconReport(x, iterations, history)
-
-
-def solve(
-    b: KSpaceVector,
-    spec: SamplingSpec,
-    config: AdmmConfig,
-    threads: int = 0,
-    x_solver=None,
-) -> ReconReport:
-    """Run the classic solver from the zero-filled initial guess.
-
-    Starts at ``X0 = A^H(b)``, ``Z0 = X0``, ``L0 = 0`` and iterates the
-    shrinkage, data-consistency, and multiplier steps in that order until
-    the relative change of ``X`` drops below ``rel_tol`` or ``max_iters``
-    is reached. This is the generalised loop with the constant schedule
-    ``tau = lam/mu``, ``gamma = 1/mu`` and a fixed ``eta`` and transform.
-
-    ``x_solver`` swaps in a user-supplied routine for the
-    data-consistency step, for acquisition operators without the
-    Cartesian closed form; it is called as ``x_solver(z, l, b, spec, mu)``
-    and must return the minimiser of the quadratic subproblem. The
-    default is the exact Cartesian solve.
-
-    Raises
-    ------
-    DivergenceError
-        If any iterate or reported quantity becomes non-finite; the
-        iteration index is attached.
-    """
-    if x_solver is None:
-        x_solver = x_update_cartesian
-    mu = config.mu
-    params = IterationParams(gamma=1.0 / mu, eta=config.eta, tau=config.lam / mu)
-    entry = (params, config.transform, lambda z, l: x_solver(z, l, b, spec, mu))
-    return _run(
-        b, spec, [entry] * config.max_iters, config.rel_tol,
-        config.record_history, config.lam, threads,
-    )
-
-
-def solve_generalized(
-    b: KSpaceVector,
-    spec: SamplingSpec,
-    schedule: list[IterationParams],
-    init_transform: UnitaryTransform,
-    rel_tol: float = 0.0,
-    record_history: bool = True,
-    report_lambda: float = 0.0,
-    threads: int = 0,
-) -> ReconReport:
-    """Run the per-iteration-parameter scheme over a schedule.
-
-    Each schedule entry supplies the thresholds (absolute ``tau`` or
-    relative ``a``), the data weight ``gamma``, the multiplier rate
-    ``eta``, and optionally its own transform (``init_transform`` is the
-    default). The reported objective uses ``report_lambda`` as the
-    nuclear-norm weight, since the generalised scheme has no single
-    regularisation parameter.
-    """
-    if not schedule:
-        raise ParameterError("schedule must contain at least one entry")
-    plan = [
-        (
-            params,
-            params.transform if params.transform is not None else init_transform,
-            lambda z, l, gamma=params.gamma: x_update_gamma(z, l, b, spec, gamma),
-        )
-        for params in schedule
-    ]
-    return _run(b, spec, plan, rel_tol, record_history, report_lambda, threads)

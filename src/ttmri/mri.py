@@ -245,6 +245,12 @@ def _ray_endpoint(ci: int, cj: int, di: float, dj: float, nx: int, ny: int):
     return ei, ej
 
 
+def _check_sizes(nx: int, ny: int, nt: int):
+    for name, n in (("nx", nx), ("ny", ny), ("nt", nt)):
+        if not n >= 1:
+            raise ParameterError(f"{name} must be >= 1, got {n}")
+
+
 def gen_pseudo_radial_mask(
     nx: int,
     ny: int,
@@ -263,8 +269,11 @@ def gen_pseudo_radial_mask(
     angle. Spokes are rasterized with the midpoint line algorithm from the
     center to the two boundary crossings, so the DC bin is always sampled.
     """
+    _check_sizes(nx, ny, nt)
     if lines < 1:
         raise ParameterError(f"lines must be >= 1, got {lines}")
+    if theta0 is not None and not math.isfinite(theta0):
+        raise ParameterError(f"theta0 must be finite, got {theta0}")
     if lines > nx * ny:
         raise ParameterError(f"lines={lines} exceeds grid size {nx * ny}")
     rng = np.random.default_rng(seed)
@@ -298,8 +307,9 @@ def gen_vds_mask(nx: int, ny: int, nt: int, accel: float, seed: int) -> Sampling
     is ``nx * ny / accel``; probabilities cap at 1, which clamps toward
     full sampling as ``accel`` approaches 1. The DC bin is always sampled.
     """
-    if accel <= 1:
-        raise ParameterError(f"acceleration factor must exceed 1, got {accel}")
+    _check_sizes(nx, ny, nt)
+    if not (math.isfinite(accel) and accel > 1):
+        raise ParameterError(f"acceleration factor must be finite and exceed 1, got {accel}")
     rng = np.random.default_rng(seed)
     ci, cj = dc_index(nx), dc_index(ny)
     ii = np.arange(nx)[:, None] - ci
@@ -412,6 +422,7 @@ def make_phantom(
         raise ParameterError(
             f"unknown phantom kind {kind!r}; expected one of {PHANTOM_KINDS}"
         )
+    _check_sizes(nx, ny, nt)
     rng = np.random.default_rng(seed)
     if kind == "moving_ellipse":
         return _moving_ellipse(nx, ny, nt, rng)
@@ -422,8 +433,8 @@ def make_phantom(
 
 def add_noise(b: KSpaceVector, sigma: float, seed: int) -> KSpaceVector:
     """Add i.i.d. complex Gaussian noise with per-component std ``sigma``."""
-    if sigma < 0:
-        raise ParameterError(f"noise level must be nonnegative, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ParameterError(f"noise level must be finite and nonnegative, got {sigma}")
     if sigma == 0:
         return KSpaceVector(b.values, b.spec)
     rng = np.random.default_rng(seed)

@@ -339,7 +339,7 @@ def transformed_multirank(
     ``tol`` times the largest singular value over all slices, so the cut
     is consistent across slices.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ParameterError(f"rank tolerance must be nonnegative, got {tol}")
     return _multirank(transformed_singular_values(x, transform), tol)
 

@@ -29,6 +29,7 @@ from ttmri import (
     solve,
     solve_generalized,
     spatial_ifft,
+    transformed_multirank,
     transformed_singular_values,
     transformed_spectral_norm,
     ttnn,
@@ -447,29 +448,6 @@ class TestSolve:
         hits = [s.iteration for s in report.history if s.primal_residual <= limit]
         assert hits and hits[0] < 300
 
-    def test_custom_data_consistency_solver(self):
-        # The data-consistency step is injectable for operators without
-        # the Cartesian closed form.
-        spec = gen_vds_mask(8, 8, 2, accel=2.0, seed=11)
-        truth = make_phantom(8, 8, 2, "rotating_bars", seed=11)
-        b = forward(truth, spec)
-        calls = []
-
-        def tracking_solver(z, l, b_, spec_, mu):
-            calls.append(mu)
-            return x_update_cartesian(z, l, b_, spec_, mu)
-
-        config = AdmmConfig(
-            lam=0.05, mu=0.5, transform=make_transform("fft", 2), max_iters=4,
-            rel_tol=0.0,
-        )
-        custom = solve(b, spec, config, x_solver=tracking_solver)
-        default = solve(b, spec, config)
-        assert calls == [0.5] * 4
-        assert np.array_equal(
-            custom.reconstruction.slices, default.reconstruction.slices
-        )
-
     def test_config_validation(self):
         t = make_transform("fft", 2)
         with pytest.raises(ParameterError):
@@ -506,18 +484,15 @@ class TestSolveGeneralized:
         assert general.iterations_run == classic.iterations_run == iters
 
     def test_classic_is_the_constant_schedule(self):
-        # With the gamma data step swapped in, classic mode runs exactly the
-        # generalised loop, down to the last bit and the stopping iteration.
+        # Classic mode runs exactly the generalised loop on the constant
+        # schedule, down to the last bit and the stopping iteration.
         spec, _, b = self._setup(seed=24)
         t = make_transform("fft", 4)
         lam, mu, eta, iters = 0.08, 0.1, 1.0, 150
         config = AdmmConfig(
             lam=lam, mu=mu, eta=eta, transform=t, max_iters=iters, rel_tol=1e-4
         )
-        classic = solve(
-            b, spec, config,
-            x_solver=lambda z, l, b_, s, mu_: x_update_gamma(z, l, b_, s, 1 / mu_),
-        )
+        classic = solve(b, spec, config)
         schedule = [IterationParams(gamma=1 / mu, eta=eta, tau=lam / mu)] * iters
         general = solve_generalized(
             b, spec, schedule, t, rel_tol=1e-4, report_lambda=lam
@@ -601,9 +576,8 @@ class TestSolveGeneralized:
         t = make_transform("dct", 4)
         with pytest.raises(error, match=match):
             solve_generalized(b, spec, [IterationParams(gamma=1.0, eta=1.0, a=a)], t)
-        if error is DimensionError:
-            with pytest.raises(error, match=match):
-                relative_thresholds(adjoint(b), a, t)
+        with pytest.raises(error, match=match):
+            relative_thresholds(adjoint(b), a, t)
 
     def test_relative_thresholds_match_expit_bitwise(self):
         rng = np.random.default_rng(28)
@@ -674,3 +648,35 @@ class TestSolveGeneralized:
             without.history[0].fidelity + 0.5 * without.history[0].ttnn
         )
         assert without.history[0].objective == without.history[0].fidelity
+
+
+def _nan_cases():
+    nan = float("nan")
+    t = make_transform("fft", 4)
+    spec = gen_vds_mask(10, 8, 4, accel=2.0, seed=29)
+    b = KSpaceVector(np.zeros(spec.m), spec)
+    z = ComplexTensor3.zeros(spec.dims)
+    step = [IterationParams(gamma=1.0, eta=1.0, tau=0.05)]
+    return {
+        "config-lam": lambda: AdmmConfig(lam=nan, mu=1.0, transform=t),
+        "config-mu": lambda: AdmmConfig(lam=0.1, mu=nan, transform=t),
+        "config-eta": lambda: AdmmConfig(lam=0.1, mu=1.0, eta=nan, transform=t),
+        "config-rel_tol": lambda: AdmmConfig(lam=0.1, mu=1.0, transform=t, rel_tol=nan),
+        "config-max_iters": lambda: AdmmConfig(lam=0.1, mu=1.0, transform=t, max_iters=nan),
+        "params-gamma": lambda: IterationParams(gamma=nan, eta=1.0, tau=0.1),
+        "params-eta": lambda: IterationParams(gamma=1.0, eta=nan, tau=0.1),
+        "generalized-rel_tol-nan": lambda: solve_generalized(b, spec, step, t, rel_tol=nan),
+        "generalized-rel_tol-negative": lambda: solve_generalized(b, spec, step, t, rel_tol=-1.0),
+        "z_update-lam": lambda: z_update(z, z, nan, 1.0, t),
+        "z_update-mu": lambda: z_update(z, z, 0.1, nan, t),
+        "x_update_cartesian-mu": lambda: x_update_cartesian(z, z, b, spec, nan),
+        "x_update_gamma-gamma": lambda: x_update_gamma(z, z, b, spec, nan),
+        "multirank-tol": lambda: transformed_multirank(z, t, tol=nan),
+    }
+
+
+@pytest.mark.parametrize("case", list(_nan_cases()))
+def test_nan_and_negative_parameters_rejected(case):
+    # A range check written as "x < 0" lets NaN through.
+    with pytest.raises(ParameterError):
+        _nan_cases()[case]()
