@@ -1,6 +1,6 @@
 """Transformed tensor low-rank methods for dynamic MRI reconstruction.
 
-A numpy/scipy library built around three layers:
+A numpy library built around three layers:
 
 - dense 3-way complex tensors and a tensor-tensor product taken in a
   unitary transformed domain (:mod:`ttmri.tensor`, :mod:`ttmri.transforms`,

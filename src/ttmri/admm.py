@@ -15,6 +15,7 @@ is its constant schedule, bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -54,15 +55,15 @@ class AdmmConfig:
     record_history: bool = True
 
     def __post_init__(self):
-        # Written as "not x >= 0" so that NaN fails the check too.
-        if not self.lam >= 0:
-            raise ParameterError(f"lambda must be nonnegative, got {self.lam}")
-        if not self.mu > 0:
-            raise ParameterError(f"mu must be positive, got {self.mu}")
-        if not self.eta > 0:
-            raise ParameterError(f"eta must be positive, got {self.eta}")
-        if not self.max_iters >= 1:
-            raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
+        # Written as "not (...)" so that NaN fails every check; only rel_tol may be inf.
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ParameterError(f"lambda must be finite and nonnegative, got {self.lam}")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ParameterError(f"mu must be finite and positive, got {self.mu}")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ParameterError(f"eta must be finite and positive, got {self.eta}")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ParameterError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not self.rel_tol >= 0:
             raise ParameterError(f"rel_tol must be nonnegative, got {self.rel_tol}")
 
@@ -84,10 +85,10 @@ class IterationParams:
     transform: UnitaryTransform | None = None
 
     def __post_init__(self):
-        if not self.gamma >= 0:
-            raise ParameterError(f"gamma must be nonnegative, got {self.gamma}")
-        if not self.eta >= 0:
-            raise ParameterError(f"eta must be nonnegative, got {self.eta}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ParameterError(f"gamma must be finite and nonnegative, got {self.gamma}")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ParameterError(f"eta must be finite and nonnegative, got {self.eta}")
         if (self.tau is None) == (self.a is None):
             raise ParameterError("exactly one of tau (absolute) and a (relative) is required")
 
@@ -120,10 +121,10 @@ def z_update(
     threads: int = 0,
 ) -> ComplexTensor3:
     """Shrinkage step: prox of ``(lam/mu) * ||.||_nuclear`` at ``X + L``."""
-    if not mu > 0:
-        raise ParameterError(f"mu must be positive, got {mu}")
-    if not lam >= 0:
-        raise ParameterError(f"lambda must be nonnegative, got {lam}")
+    if not (math.isfinite(mu) and mu > 0):
+        raise ParameterError(f"mu must be finite and positive, got {mu}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ParameterError(f"lambda must be finite and nonnegative, got {lam}")
     return t_tsvt(x_prev + l_prev, lam / mu, transform, threads=threads)
 
 
@@ -145,8 +146,8 @@ def x_update_cartesian(
     element-wise division in k-space. ``mu = 0`` is only defined when the
     mask is full; otherwise unsampled entries would be 0/0.
     """
-    if not mu >= 0:
-        raise ParameterError(f"mu must be nonnegative, got {mu}")
+    if not (math.isfinite(mu) and mu >= 0):
+        raise ParameterError(f"mu must be finite and nonnegative, got {mu}")
     if z.dims != spec.dims or l_prev.dims != spec.dims:
         raise DimensionError("tensor dims do not match the sampling spec")
     _check_kspace(b, spec)
@@ -171,8 +172,8 @@ def x_update_gamma(
     Stable for every ``gamma >= 0``; ``gamma = 0`` returns ``Z - L``
     exactly.
     """
-    if not gamma >= 0:
-        raise ParameterError(f"gamma must be nonnegative, got {gamma}")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ParameterError(f"gamma must be finite and nonnegative, got {gamma}")
     if z.dims != spec.dims or l_prev.dims != spec.dims:
         raise DimensionError("tensor dims do not match the sampling spec")
     _check_kspace(b, spec)
@@ -239,7 +240,7 @@ def _relative_weights(a, nt: int) -> np.ndarray:
             f"relative weight vector has shape {weights.shape}, expected ({nt},)"
         )
     if np.isnan(weights).any():
-        raise ParameterError("thresholds must be finite and nonnegative")
+        raise ParameterError("relative weights must not be NaN")
     return np.array([_sigmoid(v) for v in weights.tolist()])
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import admm, mri, tsvd
 from .tensor import ComplexTensor3, bdiag, fold, frobenius_norm, inner_product
-from .transforms import _random_tensor, _random_unitary, check_unitarity, make_transform
+from .transforms import KINDS, _random_tensor, _random_transform, check_unitarity, make_transform
 
 __all__ = ["CheckResult", "run_checks", "LEVELS"]
 
@@ -28,16 +28,19 @@ class CheckResult:
     detail: str
 
 
-def _transform_set(n3, rng):
-    import scipy.linalg  # imported here: only the checks need scipy
+def _dft_matrix(n):
+    """The unitary DFT matrix ``exp(-2 pi i jk / n) / sqrt(n)``.
 
-    dft = scipy.linalg.dft(n3, scale="sqrtn")
-    return [
-        make_transform("identity", n3),
-        make_transform("fft", n3),
-        make_transform("dct", n3),
-        make_transform("matrix", n3, dft),
-        make_transform("matrix", n3, _random_unitary(rng, n3)),
+    ``jk`` is reduced modulo ``n`` in integers first, as in ``_dct_matrix``,
+    so large products lose no precision to the exponential's argument.
+    """
+    jk = np.outer(np.arange(n), np.arange(n)) % n
+    return np.exp(-2j * np.pi / n * jk) / np.sqrt(n)
+
+
+def _transform_set(n3, rng):
+    return [_random_transform(rng, k, n3) for k in KINDS] + [
+        make_transform("matrix", n3, _dft_matrix(n3))
     ]
 
 
@@ -107,8 +110,6 @@ def _check_tsvd_exactness(level):
 
 
 def _check_ttnn_matrix_invariance(level):
-    import scipy.linalg  # imported here: only the checks need scipy
-
     rng = np.random.default_rng(15)
     trials = 5 if level == "quick" else 20
     worst = 0.0
@@ -116,7 +117,7 @@ def _check_ttnn_matrix_invariance(level):
         n3 = int(rng.integers(2, 7))
         x = _random_tensor(rng, (int(rng.integers(2, 8)), int(rng.integers(2, 8)), n3))
         t_fft = make_transform("fft", n3)
-        t_mat = make_transform("matrix", n3, scipy.linalg.dft(n3, scale="sqrtn"))
+        t_mat = make_transform("matrix", n3, _dft_matrix(n3))
         a, b = tsvd.ttnn(x, t_fft), tsvd.ttnn(x, t_mat)
         worst = max(worst, abs(a - b) / a)
         sa = tsvd.transformed_spectral_norm(x, t_fft)
@@ -205,9 +206,7 @@ def _check_forward_adjoint(level):
     for spec in specs:
         for _ in range(trials):
             x = _random_tensor(rng, spec.dims)
-            y = mri.KSpaceVector(
-                rng.standard_normal(spec.m) + 1j * rng.standard_normal(spec.m), spec
-            )
+            y = mri._random_kspace(rng, spec)
             lhs = np.vdot(mri.forward(x, spec).values, y.values)
             rhs = np.vdot(x.slices, mri.adjoint(y).slices)
             scale = max(abs(lhs), abs(rhs), 1e-30)
@@ -253,9 +252,7 @@ def _check_x_update_normal_equations(level):
         spec = mri.gen_vds_mask(10, 9, 3, accel=2.5, seed=int(rng.integers(1e6)))
         z = _random_tensor(rng, spec.dims)
         l = _random_tensor(rng, spec.dims)
-        b = mri.KSpaceVector(
-            rng.standard_normal(spec.m) + 1j * rng.standard_normal(spec.m), spec
-        )
+        b = mri._random_kspace(rng, spec)
         mu = float(rng.uniform(0.1, 5.0))
         x = admm.x_update_cartesian(z, l, b, spec, mu)
         lhs = mri.adjoint(mri.forward(x, spec)) + x * mu

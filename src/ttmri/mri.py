@@ -189,6 +189,11 @@ class KSpaceVector:
         return f"KSpaceVector(m={self.m})"
 
 
+def _random_kspace(rng, spec: SamplingSpec) -> KSpaceVector:
+    """Standard complex Gaussian values on the samples of ``spec``."""
+    return KSpaceVector(rng.standard_normal(spec.m) + 1j * rng.standard_normal(spec.m), spec)
+
+
 def forward(x: ComplexTensor3, spec: SamplingSpec) -> KSpaceVector:
     """Sample the per-frame Fourier transform of ``x`` at the mask locations."""
     if x.dims != spec.dims:

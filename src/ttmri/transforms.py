@@ -11,6 +11,7 @@ after a unitarity check.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,9 +134,9 @@ def make_transform(kind: str, n3: int, matrix=None) -> UnitaryTransform:
     """
     if kind not in KINDS:
         raise ParameterError(f"unknown transform kind {kind!r}; expected one of {KINDS}")
+    if not (isinstance(n3, numbers.Integral) and n3 >= 1):
+        raise ParameterError(f"transform size must be an integer >= 1, got {n3!r}")
     n3 = int(n3)
-    if n3 < 1:
-        raise ParameterError(f"transform size must be positive, got {n3}")
     if kind != "matrix":
         if matrix is not None:
             raise ParameterError(f"kind={kind!r} does not take an explicit matrix")
@@ -180,10 +181,12 @@ def check_unitarity(
     worst relative deviation of the Frobenius norm, the inner product, and
     the apply/adjoint round trip.
     """
+    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise ParameterError(f"trials must be an integer >= 1, got {trials!r}")
     rng = np.random.default_rng(seed)
     n3 = transform.size
     dev_norm = dev_inner = dev_round = 0.0
-    for _ in range(max(1, int(trials))):
+    for _ in range(trials):
         a = _random_tensor(rng, (4, 3, n3))
         b = _random_tensor(rng, (4, 3, n3))
         ah = transform.apply(a)
@@ -209,3 +212,8 @@ def _random_unitary(rng, n) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def _random_transform(rng, kind, n3) -> UnitaryTransform:
+    """A transform of ``kind``; ``matrix`` draws a random unitary from ``rng``."""
+    return make_transform(kind, n3, _random_unitary(rng, n3) if kind == "matrix" else None)

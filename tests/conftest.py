@@ -11,8 +11,11 @@ import scipy.fft
 import scipy.linalg
 
 # The random inputs are drawn by the library's own helpers, so the tests
-# and ``ttmri check`` share one definition of a random tensor or unitary.
+# and ``ttmri check`` share one definition of a random tensor, unitary,
+# transform or k-space vector.
+from ttmri.mri import _random_kspace as random_kspace
 from ttmri.transforms import _random_tensor as rand_tensor
+from ttmri.transforms import _random_transform as random_transform
 from ttmri.transforms import _random_unitary as random_unitary
 
 

@@ -19,7 +19,6 @@ import pytest
 import ttmri
 from ttmri import (
     ComplexTensor3,
-    KSpaceVector,
     SamplingSpec,
     AdmmConfig,
     IterationParams,
@@ -50,22 +49,16 @@ from conftest import (
     fiber_transform,
     nuclear_norm_dense,
     rand_tensor,
-    random_unitary,
+    random_kspace,
+    random_transform,
     transform_matrix,
 )
 
-KIND_CYCLE = ("identity", "fft", "dct", "random_unitary")
+KIND_CYCLE = ("identity", "fft", "dct", "matrix")
 
 
 def report(num, text):
     print(f"\ncriterion {num:02d} PASS: {text}")
-
-
-def make_kind(kind, n3, rng):
-    if kind == "random_unitary":
-        mat = random_unitary(rng, n3)
-        return make_transform("matrix", n3, mat), mat
-    return make_transform(kind, n3), None
 
 
 def test_criterion_01_ttsvd_exactness():
@@ -78,7 +71,7 @@ def test_criterion_01_ttsvd_exactness():
             int(rng.integers(1, 13)),
             int(rng.integers(1, 9)),
         )
-        t, _ = make_kind(KIND_CYCLE[trial % 4], dims[2], rng)
+        t = random_transform(rng, KIND_CYCLE[trial % 4], dims[2])
         x = rand_tensor(rng, dims)
         fac = tt_svd(x, t)
         vh = tensor_hermitian_transpose(fac.V, t)
@@ -99,14 +92,8 @@ def test_criterion_02_ttnn_dense_oracle():
             int(rng.integers(2, 13)),
             int(rng.integers(1, 7)),
         )
-        kind = KIND_CYCLE[trial % 4]
-        if kind == "random_unitary":
-            mat = random_unitary(rng, dims[2])
-            t = make_transform("matrix", dims[2], mat)
-            w = mat
-        else:
-            t = make_transform(kind, dims[2])
-            w = transform_matrix(kind, dims[2])
+        t = random_transform(rng, KIND_CYCLE[trial % 4], dims[2])
+        w = transform_matrix(t.kind, dims[2], t.matrix)
         x = rand_tensor(rng, dims)
         oracle = nuclear_norm_dense(bdiag_dense(fiber_transform(x.to_array(), w)))
         worst = max(worst, abs(ttnn(x, t) - oracle) / oracle)
@@ -124,7 +111,7 @@ def test_criterion_03_duality_attainment():
             int(rng.integers(2, 10)),
             int(rng.integers(1, 7)),
         )
-        t, _ = make_kind(KIND_CYCLE[trial % 4], dims[2], rng)
+        t = random_transform(rng, KIND_CYCLE[trial % 4], dims[2])
         x = rand_tensor(rng, dims)
         fac = tt_svd(x, t)
         r = min(dims[0], dims[1])
@@ -201,9 +188,7 @@ def test_criterion_05_operator_adjointness():
     for spec in specs:
         for _ in range(50):
             x = rand_tensor(rng, spec.dims)
-            y = KSpaceVector(
-                rng.standard_normal(spec.m) + 1j * rng.standard_normal(spec.m), spec
-            )
+            y = random_kspace(rng, spec)
             lhs = np.vdot(forward(x, spec).values, y.values)
             rhs = np.vdot(x.slices, adjoint(y).slices)
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
@@ -217,9 +202,7 @@ def test_criterion_06_x_update_normal_equations():
 
     def classic_residual(spec, mu):
         z, l = rand_tensor(rng, spec.dims), rand_tensor(rng, spec.dims)
-        b = KSpaceVector(
-            rng.standard_normal(spec.m) + 1j * rng.standard_normal(spec.m), spec
-        )
+        b = random_kspace(rng, spec)
         x = x_update_cartesian(z, l, b, spec, mu)
         lhs = adjoint(forward(x, spec)) + x * mu
         rhs = adjoint(b) + (z - l) * mu
@@ -228,9 +211,7 @@ def test_criterion_06_x_update_normal_equations():
 
     def gamma_residual(spec, gamma):
         z, l = rand_tensor(rng, spec.dims), rand_tensor(rng, spec.dims)
-        b = KSpaceVector(
-            rng.standard_normal(spec.m) + 1j * rng.standard_normal(spec.m), spec
-        )
+        b = random_kspace(rng, spec)
         x = x_update_gamma(z, l, b, spec, gamma)
         lhs = adjoint(forward(x, spec)) * gamma + x
         rhs = adjoint(b) * gamma + (z - l)

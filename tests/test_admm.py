@@ -44,14 +44,9 @@ from conftest import (
     centered_fft2_oracle,
     layout_masks,
     rand_tensor,
+    random_kspace,
     scatter_oracle,
 )
-
-
-def random_kspace(rng, spec):
-    return KSpaceVector(
-        rng.standard_normal(spec.m) + 1j * rng.standard_normal(spec.m), spec
-    )
 
 
 class TestZUpdate:
@@ -569,7 +564,7 @@ class TestSolveGeneralized:
 
     @pytest.mark.parametrize("a, error, match", [
         ([-2.0, -2.0, -2.0], DimensionError, "relative weight vector has shape"),
-        (float("nan"), ParameterError, "finite and nonnegative"),
+        (float("nan"), ParameterError, "relative weights must not be NaN"),
     ], ids=["wrong-length", "nan"])
     def test_relative_weights_checked(self, a, error, match):
         spec, _, b = self._setup(seed=27)
@@ -651,7 +646,7 @@ class TestSolveGeneralized:
 
 
 def _nan_cases():
-    nan = float("nan")
+    nan, inf = float("nan"), float("inf")
     t = make_transform("fft", 4)
     spec = gen_vds_mask(10, 8, 4, accel=2.0, seed=29)
     b = KSpaceVector(np.zeros(spec.m), spec)
@@ -663,20 +658,41 @@ def _nan_cases():
         "config-eta": lambda: AdmmConfig(lam=0.1, mu=1.0, eta=nan, transform=t),
         "config-rel_tol": lambda: AdmmConfig(lam=0.1, mu=1.0, transform=t, rel_tol=nan),
         "config-max_iters": lambda: AdmmConfig(lam=0.1, mu=1.0, transform=t, max_iters=nan),
+        "config-max_iters-float": lambda: AdmmConfig(lam=0.1, mu=1.0, transform=t, max_iters=2.5),
+        "config-max_iters-whole-float": lambda: AdmmConfig(
+            lam=0.1, mu=1.0, transform=t, max_iters=3.0
+        ),
+        "config-lam-inf": lambda: AdmmConfig(lam=inf, mu=1.0, transform=t),
+        "config-mu-inf": lambda: AdmmConfig(lam=0.1, mu=inf, transform=t),
+        "config-eta-inf": lambda: AdmmConfig(lam=0.1, mu=1.0, eta=inf, transform=t),
         "params-gamma": lambda: IterationParams(gamma=nan, eta=1.0, tau=0.1),
         "params-eta": lambda: IterationParams(gamma=1.0, eta=nan, tau=0.1),
+        "params-gamma-inf": lambda: IterationParams(gamma=inf, eta=1.0, tau=0.1),
+        "params-eta-inf": lambda: IterationParams(gamma=1.0, eta=inf, tau=0.1),
         "generalized-rel_tol-nan": lambda: solve_generalized(b, spec, step, t, rel_tol=nan),
         "generalized-rel_tol-negative": lambda: solve_generalized(b, spec, step, t, rel_tol=-1.0),
         "z_update-lam": lambda: z_update(z, z, nan, 1.0, t),
         "z_update-mu": lambda: z_update(z, z, 0.1, nan, t),
         "x_update_cartesian-mu": lambda: x_update_cartesian(z, z, b, spec, nan),
         "x_update_gamma-gamma": lambda: x_update_gamma(z, z, b, spec, nan),
+        "z_update-lam-inf": lambda: z_update(z, z, inf, 1.0, t),
+        "z_update-mu-inf": lambda: z_update(z, z, 0.1, inf, t),
+        "x_update_cartesian-mu-inf": lambda: x_update_cartesian(z, z, b, spec, inf),
+        "x_update_gamma-gamma-inf": lambda: x_update_gamma(z, z, b, spec, inf),
         "multirank-tol": lambda: transformed_multirank(z, t, tol=nan),
     }
 
 
 @pytest.mark.parametrize("case", list(_nan_cases()))
 def test_nan_and_negative_parameters_rejected(case):
-    # A range check written as "x < 0" lets NaN through.
+    # A range check written as "x < 0" lets NaN through, and "x >= 0" lets
+    # inf through; a float iteration count is not a count.
     with pytest.raises(ParameterError):
         _nan_cases()[case]()
+
+
+def test_numpy_integer_max_iters_accepted():
+    spec = gen_vds_mask(10, 8, 4, accel=2.0, seed=29)
+    b = KSpaceVector(np.ones(spec.m), spec)
+    config = AdmmConfig(lam=0.1, mu=1.0, transform=make_transform("fft", 4), max_iters=np.int64(2))
+    assert solve(b, spec, config).iterations_run == 2

@@ -404,21 +404,37 @@ def test_non_string_matrix_path_is_usage_error(pipeline, capsys, path, where):
     assert not out.exists()
 
 
-def test_import_loads_no_scipy():
-    # scipy costs start-up time and memory on every ttmri invocation; only
-    # ``ttmri check`` and the tests' oracles need it.
+def _fresh_python(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's ttmri."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ttmri.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, path]))),
         timeout=120,
     )
+
+
+def test_import_loads_no_scipy():
+    # scipy costs start-up time and memory on every ttmri invocation, and
+    # the runtime depends on numpy alone; only the tests' oracles use scipy.
+    proc = _fresh_python(
+        "import sys, ttmri.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_check_runs_without_scipy():
+    # With scipy unimportable, every invariant check still runs and passes.
+    proc = _fresh_python(
+        "import sys; sys.modules['scipy'] = None; import ttmri.cli; "
+        "sys.exit(ttmri.cli.main(['check', '--level', 'full']))"
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "17/17 checks passed" in proc.stdout
 
 
 @pytest.mark.parametrize("target", ["config", "sidecar"])

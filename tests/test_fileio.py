@@ -16,7 +16,7 @@ from ttmri.fileio import (
     save_transform_matrix,
 )
 
-from conftest import rand_tensor, random_unitary
+from conftest import rand_tensor, random_kspace, random_unitary
 
 
 class TestTensorFormat:
@@ -122,9 +122,7 @@ class TestKSpaceFormat:
     def test_roundtrip_with_sidecar(self, tmp_path):
         rng = np.random.default_rng(3)
         spec = SamplingSpec(rng.random((2, 4, 4)) < 0.5)
-        b = KSpaceVector(
-            rng.standard_normal(spec.m) + 1j * rng.standard_normal(spec.m), spec
-        )
+        b = random_kspace(rng, spec)
         path = tmp_path / "b.t2k"
         save_kspace(path, b, mask_path="masks/m.t2t")
         values, mask_path = load_kspace(path)

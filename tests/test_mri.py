@@ -32,6 +32,7 @@ from conftest import (
     gather_oracle,
     layout_masks,
     rand_tensor,
+    random_kspace,
     scatter_oracle,
 )
 
@@ -103,9 +104,7 @@ class TestForwardAdjoint:
         spec = gen_vds_mask(10, 8, 3, accel=2.5, seed=1)
         for _ in range(10):
             x = rand_tensor(rng, spec.dims)
-            y = KSpaceVector(
-                rng.standard_normal(spec.m) + 1j * rng.standard_normal(spec.m), spec
-            )
+            y = random_kspace(rng, spec)
             lhs = np.vdot(forward(x, spec).values, y.values)
             rhs = np.vdot(x.slices, adjoint(y).slices)
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
@@ -113,9 +112,7 @@ class TestForwardAdjoint:
     def test_projection_idempotence(self):
         rng = np.random.default_rng(5)
         spec = gen_pseudo_radial_mask(12, 10, 3, lines=4, seed=2)
-        y = KSpaceVector(
-            rng.standard_normal(spec.m) + 1j * rng.standard_normal(spec.m), spec
-        )
+        y = random_kspace(rng, spec)
         again = forward(adjoint(y), spec)
         assert np.allclose(again.values, y.values, rtol=1e-12, atol=1e-12)
 
@@ -423,7 +420,7 @@ class TestInPlaceLayout:
                 spec.gather(stack.transpose(0, 2, 1).copy().transpose(0, 2, 1)),
                 gather_oracle(mask, stack),
             ), name
-            values = rng.standard_normal(spec.m) + 1j * rng.standard_normal(spec.m)
+            values = random_kspace(rng, spec).values
             assert np.array_equal(spec.scatter(values), scatter_oracle(mask, values)), name
             expected = gather_oracle(mask, centered_fft2_oracle(stack))
             assert np.array_equal(forward(x, spec).values, expected), name

@@ -12,15 +12,15 @@ from ttmri import (
     make_transform,
 )
 
-from conftest import fiber_transform, rand_tensor, random_unitary, transform_matrix
+from conftest import (
+    fiber_transform,
+    rand_tensor,
+    random_transform,
+    random_unitary,
+    transform_matrix,
+)
 
 ALL_KINDS = ("identity", "fft", "dct", "matrix")
-
-
-def _make(kind, n3, rng):
-    if kind == "matrix":
-        return make_transform("matrix", n3, random_unitary(rng, n3))
-    return make_transform(kind, n3)
 
 
 class TestApply:
@@ -57,7 +57,7 @@ class TestApply:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_roundtrip(self, kind):
         rng = np.random.default_rng(3)
-        t = _make(kind, 6, rng)
+        t = random_transform(rng, kind, 6)
         x = rand_tensor(rng, (4, 5, 6))
         back = t.apply_adjoint(t.apply(x))
         assert frobenius_norm(back - x) <= 1e-12 * frobenius_norm(x)
@@ -67,7 +67,7 @@ class TestApply:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_norm_and_inner_preserved(self, kind):
         rng = np.random.default_rng(4)
-        t = _make(kind, 5, rng)
+        t = random_transform(rng, kind, 5)
         x = rand_tensor(rng, (4, 3, 5))
         y = rand_tensor(rng, (4, 3, 5))
         assert frobenius_norm(t.apply(x)) == pytest.approx(
@@ -80,7 +80,7 @@ class TestApply:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_adjoint_identity(self, kind):
         rng = np.random.default_rng(5)
-        t = _make(kind, 4, rng)
+        t = random_transform(rng, kind, 4)
         x = rand_tensor(rng, (3, 5, 4))
         y = rand_tensor(rng, (3, 5, 4))
         lhs = inner_product(t.apply(x), y)
@@ -163,6 +163,21 @@ class TestMakeTransform:
         t = make_transform("matrix", 6, random_unitary(rng, 6))
         report = check_unitarity(t, trials=10)
         assert report.max_deviation <= 1e-12
+
+    @pytest.mark.parametrize("n3", [2.5, 3.0, "3", np.float64(4.0), 0, -1])
+    def test_size_must_be_positive_integer(self, n3):
+        with pytest.raises(ParameterError):
+            make_transform("fft", n3)
+
+    @pytest.mark.parametrize("trials", [-5, 0, 2.7, 3.0])
+    def test_check_unitarity_trials_must_be_positive_integer(self, trials):
+        with pytest.raises(ParameterError):
+            check_unitarity(make_transform("fft", 3), trials=trials)
+
+    def test_numpy_integers_accepted(self):
+        t = make_transform("dct", np.int64(4))
+        assert t.size == 4 and type(t.size) is int
+        assert check_unitarity(t, trials=np.int32(3)).trials == 3
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):

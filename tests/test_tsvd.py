@@ -35,7 +35,7 @@ from conftest import (
     fiber_transform,
     nuclear_norm_dense,
     rand_tensor,
-    random_unitary,
+    random_transform,
     transform_matrix,
 )
 
@@ -184,11 +184,7 @@ class TestTtSvd:
     def test_factor_properties(self, kind):
         rng = np.random.default_rng(9)
         n3 = 4
-        t = (
-            make_transform("matrix", n3, random_unitary(rng, n3))
-            if kind == "matrix"
-            else make_transform(kind, n3)
-        )
+        t = random_transform(rng, kind, n3)
         x = rand_tensor(rng, (5, 3, n3))
         fac = tt_svd(x, t)
         assert is_unitary_tensor(fac.U, t, tol=1e-10)
@@ -265,14 +261,9 @@ class TestNorms:
     def test_ttnn_matches_dense_block_diagonal_oracle(self, kind):
         rng = np.random.default_rng(13)
         n3 = 4
-        mat = random_unitary(rng, n3) if kind == "matrix" else None
-        t = (
-            make_transform("matrix", n3, mat)
-            if kind == "matrix"
-            else make_transform(kind, n3)
-        )
+        t = random_transform(rng, kind, n3)
         x = rand_tensor(rng, (5, 6, n3))
-        w = transform_matrix(kind, n3, mat)
+        w = transform_matrix(kind, n3, t.matrix)
         oracle = nuclear_norm_dense(bdiag_dense(fiber_transform(x.to_array(), w)))
         assert ttnn(x, t) == pytest.approx(oracle, rel=1e-10)
 
