@@ -15,17 +15,18 @@ is its constant schedule, bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, NumericError, ParameterError
+from .errors import _check_count, _check_real
 from .mri import KSpaceVector, SamplingSpec, _centered_fft2, adjoint, forward
 from .tensor import ComplexTensor3, frobenius_norm
 from .transforms import UnitaryTransform
-from .tsvd import _shrink, _transformed_stack, t_tsvt, transformed_singular_values, ttnn
+from .tsvd import _per_slice, _shrink, _threshold_vector, _transformed_stack, t_tsvt, ttnn
+from .tsvd import transformed_singular_values
 
 __all__ = [
     "AdmmConfig",
@@ -55,17 +56,11 @@ class AdmmConfig:
     record_history: bool = True
 
     def __post_init__(self):
-        # Written as "not (...)" so that NaN fails every check; only rel_tol may be inf.
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ParameterError(f"lambda must be finite and nonnegative, got {self.lam}")
-        if not (math.isfinite(self.mu) and self.mu > 0):
-            raise ParameterError(f"mu must be finite and positive, got {self.mu}")
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ParameterError(f"eta must be finite and positive, got {self.eta}")
-        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
-            raise ParameterError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not self.rel_tol >= 0:
-            raise ParameterError(f"rel_tol must be nonnegative, got {self.rel_tol}")
+        _check_real("lambda", self.lam)
+        _check_real("mu", self.mu, positive=True)
+        _check_real("eta", self.eta, positive=True)
+        _check_count("max_iters", self.max_iters)
+        _check_real("rel_tol", self.rel_tol, finite=False)
 
 
 @dataclass
@@ -76,6 +71,9 @@ class IterationParams:
     and ``a`` (relative threshold weights, mapped through a sigmoid and
     scaled by each slice's largest transformed singular value) must be
     given. ``transform=None`` falls back to the solver's default.
+
+    Construction checks ``gamma``, ``eta`` and ``tau`` finite and ``>= 0``
+    and ``a`` not NaN; lengths and transform sizes wait for the image.
     """
 
     gamma: float
@@ -85,12 +83,15 @@ class IterationParams:
     transform: UnitaryTransform | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise ParameterError(f"gamma must be finite and nonnegative, got {self.gamma}")
-        if not (math.isfinite(self.eta) and self.eta >= 0):
-            raise ParameterError(f"eta must be finite and nonnegative, got {self.eta}")
+        _check_real("gamma", self.gamma)
+        _check_real("eta", self.eta)
+        self._thresholds(None)
+
+    def _thresholds(self, nt):
+        """``tau`` or the sigmoid weights of ``a``, one per slice; ``nt=None`` admits any length."""
         if (self.tau is None) == (self.a is None):
             raise ParameterError("exactly one of tau (absolute) and a (relative) is required")
+        return _threshold_vector(self.tau, nt) if self.a is None else _relative_weights(self.a, nt)
 
 
 @dataclass(frozen=True)
@@ -121,16 +122,16 @@ def z_update(
     threads: int = 0,
 ) -> ComplexTensor3:
     """Shrinkage step: prox of ``(lam/mu) * ||.||_nuclear`` at ``X + L``."""
-    if not (math.isfinite(mu) and mu > 0):
-        raise ParameterError(f"mu must be finite and positive, got {mu}")
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ParameterError(f"lambda must be finite and nonnegative, got {lam}")
+    _check_real("mu", mu, positive=True)
+    _check_real("lambda", lam)
     return t_tsvt(x_prev + l_prev, lam / mu, transform, threads=threads)
 
 
-def _check_kspace(b: KSpaceVector, spec: SamplingSpec):
+def _check_kspace(b: KSpaceVector, spec: SamplingSpec, *tensors: ComplexTensor3):
     if b.m != spec.m or b.spec.dims != spec.dims:
         raise DimensionError("k-space vector is inconsistent with the sampling spec")
+    if any(t.dims != spec.dims for t in tensors):
+        raise DimensionError("tensor dims do not match the sampling spec")
 
 
 def x_update_cartesian(
@@ -146,17 +147,10 @@ def x_update_cartesian(
     element-wise division in k-space. ``mu = 0`` is only defined when the
     mask is full; otherwise unsampled entries would be 0/0.
     """
-    if not (math.isfinite(mu) and mu >= 0):
-        raise ParameterError(f"mu must be finite and nonnegative, got {mu}")
-    if z.dims != spec.dims or l_prev.dims != spec.dims:
-        raise DimensionError("tensor dims do not match the sampling spec")
-    _check_kspace(b, spec)
-    if mu == 0:
-        nx, ny, nt = spec.dims
-        if spec.m < nx * ny * nt:
-            raise NumericError(
-                "mu = 0 leaves unsampled k-space entries undefined (0/0)"
-            )
+    _check_real("mu", mu)
+    _check_kspace(b, spec, z, l_prev)
+    if mu == 0 and not spec.mask.all():
+        raise NumericError("mu = 0 leaves unsampled k-space entries undefined (0/0)")
     return _data_consistency(z, l_prev, b, spec, 1.0, mu)
 
 
@@ -172,11 +166,8 @@ def x_update_gamma(
     Stable for every ``gamma >= 0``; ``gamma = 0`` returns ``Z - L``
     exactly.
     """
-    if not (math.isfinite(gamma) and gamma >= 0):
-        raise ParameterError(f"gamma must be finite and nonnegative, got {gamma}")
-    if z.dims != spec.dims or l_prev.dims != spec.dims:
-        raise DimensionError("tensor dims do not match the sampling spec")
-    _check_kspace(b, spec)
+    _check_real("gamma", gamma)
+    _check_kspace(b, spec, z, l_prev)
     if gamma == 0:
         return z - l_prev
     return _data_consistency(z, l_prev, b, spec, gamma, 1.0)
@@ -230,15 +221,9 @@ def _sigmoid(v: float) -> float:
         return 0.0
 
 
-def _relative_weights(a, nt: int) -> np.ndarray:
+def _relative_weights(a, nt: int | None) -> np.ndarray:
     """``sigmoid(a_i)`` for each of the ``nt`` slices; ``a`` may be a scalar."""
-    weights = np.asarray(a, dtype=float)
-    if weights.ndim == 0:
-        weights = np.full(nt, float(weights))
-    elif weights.shape != (nt,):
-        raise DimensionError(
-            f"relative weight vector has shape {weights.shape}, expected ({nt},)"
-        )
+    weights = np.atleast_1d(_per_slice(a, nt, "relative weight"))
     if np.isnan(weights).any():
         raise ParameterError("relative weights must not be NaN")
     return np.array([_sigmoid(v) for v in weights.tolist()])
@@ -268,10 +253,6 @@ def _relative_shrink(
     weights = _relative_weights(a, x.dims[2])
     yhat = _transformed_stack(x + l, transform)
     return _shrink(yhat, transform, threads, lambda k, s: weights[k] * s[0])
-
-
-def _all_finite(x: ComplexTensor3) -> bool:
-    return bool(np.all(np.isfinite(x.slices)))
 
 
 def _relative_change(x_new: ComplexTensor3, x_old: ComplexTensor3) -> float:
@@ -350,23 +331,29 @@ def solve_generalized(
     drops below ``rel_tol``. The reported objective uses
     ``report_lambda`` as the nuclear-norm weight, since the generalised
     scheme has no single regularisation parameter.
+
+    All checks run before the first iteration: ``rel_tol >= 0`` (``inf``
+    allowed), ``report_lambda`` finite and ``>= 0``, and each entry's
+    transform size and threshold length against ``nt``, naming the entry.
     """
     if not schedule:
         raise ParameterError("schedule must contain at least one entry")
-    if not rel_tol >= 0:
-        raise ParameterError(f"rel_tol must be nonnegative, got {rel_tol}")
+    _check_real("rel_tol", rel_tol, finite=False)
+    _check_real("report_lambda", report_lambda)
     _check_kspace(b, spec)
     nt = spec.dims[2]
+    transforms = [params.transform or init_transform for params in schedule]
+    for n, (params, transform) in enumerate(zip(schedule, transforms), start=1):
+        try:
+            if transform.size != nt:
+                raise DimensionError(f"transform size {transform.size} does not match nt={nt}")
+            params._thresholds(nt)
+        except (DimensionError, ParameterError) as exc:
+            raise type(exc)(f"iteration {n} {exc}") from exc
     x = adjoint(b)
     l = ComplexTensor3.zeros(spec.dims)
     history: list[IterationStats] = []
-    iterations = 0
-    for n, params in enumerate(schedule, start=1):
-        transform = params.transform if params.transform is not None else init_transform
-        if transform.size != nt:
-            raise DimensionError(
-                f"iteration {n} transform size {transform.size} does not match nt={nt}"
-            )
+    for n, (params, transform) in enumerate(zip(schedule, transforms), start=1):
         tic = time.perf_counter()
         # Each iterate is released as soon as it is spent (the previous
         # z before the shrinkage, y = x + l once shrunk, the previous x
@@ -381,11 +368,8 @@ def solve_generalized(
         x = x_new
         l = l_update(l, z, x, params.eta)
         elapsed_ms = (time.perf_counter() - tic) * 1e3
-        iterations = n
-        if not (_all_finite(x) and _all_finite(z) and _all_finite(l)):
-            raise DivergenceError(
-                f"non-finite iterate at iteration {n}", iteration=n
-            )
+        if not all(np.isfinite(t.slices).all() for t in (x, z, l)):
+            raise DivergenceError(f"non-finite iterate at iteration {n}", iteration=n)
         if record_history:
             stats = _iteration_stats(
                 n, x, z, b, spec, transform, report_lambda, elapsed_ms
@@ -397,4 +381,5 @@ def solve_generalized(
             history.append(stats)
         if rel < rel_tol:
             break
-    return ReconReport(x, iterations, history)
+    # The schedule is nonempty, so n is the last iteration run.
+    return ReconReport(x, n, history)

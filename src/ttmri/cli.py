@@ -97,9 +97,8 @@ class ConfigError(ParameterError):
     """A reconstruction config violates the schema; names the key."""
 
 
-def _cfg_get(cfg, key, kind, required=False, default=None, positive=False, nonneg=False,
-             prefix=""):
-    """``cfg[key]`` checked; errors name the key as ``prefix + key``."""
+def _cfg_get(cfg, key, kind, required=False, default=None, prefix=""):
+    """``cfg[key]`` of JSON type ``kind`` (a float also finite); errors name ``prefix + key``."""
     name = prefix + key
     if key not in cfg:
         if required:
@@ -115,11 +114,15 @@ def _cfg_get(cfg, key, kind, required=False, default=None, positive=False, nonne
     elif kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"config key '{name}' must be an integer")
-    if positive and not value > 0:
-        raise ConfigError(f"config key '{name}' must be positive")
-    if nonneg and value < 0:
-        raise ConfigError(f"config key '{name}' must be nonnegative")
     return value
+
+
+def _build(where, cls, **kwargs):
+    """``cls(**kwargs)``; a value the library rejects becomes a ConfigError naming ``where``."""
+    try:
+        return cls(**kwargs)
+    except ParameterError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _make_transform(kind, nt, matrix_path, role):
@@ -147,24 +150,6 @@ def _transform_from_config(entry, nt, key):
     return _make_transform(kind, nt, entry.get("matrix_path"), "transform matrix")
 
 
-def _threshold_from_entry(entry, nt, key):
-    has_tau = "tau" in entry
-    has_a = "a" in entry
-    if has_tau == has_a:
-        raise ConfigError(f"config key '{key}' needs exactly one of 'tau' and 'a'")
-    name = "tau" if has_tau else "a"
-    raw = entry[name]
-    if _is_number(raw):
-        value = float(raw)
-    elif isinstance(raw, list) and len(raw) == nt and all(map(_is_number, raw)):
-        value = np.asarray(raw, dtype=float)
-    else:
-        raise ConfigError(f"config key '{key}.{name}' must be a number or a list of {nt} numbers")
-    if not np.all(np.isfinite(value)):
-        raise ConfigError(f"config key '{key}.{name}' must be finite")
-    return name, value
-
-
 def _parse_recon_config(path, nt):
     """Parse a recon config into ``(mode, seed, solver)``.
 
@@ -183,15 +168,16 @@ def _parse_recon_config(path, nt):
     transform = _transform_from_config(
         _cfg_get(cfg, "transform", dict, required=True), nt, "transform"
     )
-    lam = _cfg_get(cfg, "lambda", float, required=(mode == "classic"), default=0.0, nonneg=True)
-    rel_tol = _cfg_get(cfg, "rel_tol", float, default=1e-6, nonneg=True)
+    lam = _cfg_get(cfg, "lambda", float, required=(mode == "classic"), default=0.0)
+    rel_tol = _cfg_get(cfg, "rel_tol", float, default=1e-6)
     seed = _cfg_get(cfg, "seed", int, default=0)
     if mode == "classic":
-        config = admm.AdmmConfig(
+        config = _build(
+            "config", admm.AdmmConfig,
             lam=lam,
-            mu=_cfg_get(cfg, "mu", float, required=True, positive=True),
-            eta=_cfg_get(cfg, "eta", float, default=1.0, positive=True),
-            max_iters=_cfg_get(cfg, "max_iters", int, default=300, positive=True),
+            mu=_cfg_get(cfg, "mu", float, required=True),
+            eta=_cfg_get(cfg, "eta", float, default=1.0),
+            max_iters=_cfg_get(cfg, "max_iters", int, default=300),
             rel_tol=rel_tol,
             transform=transform,
         )
@@ -204,18 +190,27 @@ def _parse_recon_config(path, nt):
         key = f"schedule[{idx}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"config key '{key}' must be an object")
-        name, value = _threshold_from_entry(entry, nt, key)
+        # Whichever of tau and a the entry has; IterationParams requires exactly one.
+        thresholds = {name: entry[name] for name in ("tau", "a") if name in entry}
+        for name, raw in thresholds.items():
+            is_list = isinstance(raw, list) and len(raw) == nt and all(map(_is_number, raw))
+            if not (_is_number(raw) or is_list):
+                raise ConfigError(
+                    f"config key '{key}.{name}' must be a number or a list of {nt} numbers"
+                )
+            if not np.all(np.isfinite(raw)):
+                raise ConfigError(f"config key '{key}.{name}' must be finite")
         entry_transform = (
             _transform_from_config(entry["transform"], nt, f"{key}.transform")
             if "transform" in entry
             else None
         )
-        schedule.append(admm.IterationParams(
-            gamma=_cfg_get(entry, "gamma", float, required=True, nonneg=True, prefix=f"{key}."),
-            eta=_cfg_get(entry, "eta", float, required=True, nonneg=True, prefix=f"{key}."),
-            tau=value if name == "tau" else None,
-            a=value if name == "a" else None,
+        schedule.append(_build(
+            f"config key '{key}'", admm.IterationParams,
+            gamma=_cfg_get(entry, "gamma", float, required=True, prefix=f"{key}."),
+            eta=_cfg_get(entry, "eta", float, required=True, prefix=f"{key}."),
             transform=entry_transform,
+            **thresholds,
         ))
     solver = functools.partial(
         admm.solve_generalized, schedule=schedule, init_transform=transform,

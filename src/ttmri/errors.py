@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the parameter rules that raise them."""
+
+import numbers
+
+import numpy as np
 
 
 class TtmriError(Exception):
@@ -11,6 +15,25 @@ class DimensionError(TtmriError, ValueError):
 
 class ParameterError(TtmriError, ValueError):
     """A hyperparameter or option is outside its valid range."""
+
+
+def _check_real(name, value, positive=False, finite=True):
+    """Reject ``value`` (each entry) unless >= 0 (> 0), and finite unless ``finite=False``."""
+    try:
+        ok = np.all(value > 0 if positive else value >= 0)
+        ok = ok and (not finite or np.all(np.isfinite(value)))
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        rule = ("finite and " if finite else "") + ("positive" if positive else "nonnegative")
+        raise ParameterError(f"{name} must be {rule}, got {value}")
+
+
+def _check_count(name, value, error=ParameterError) -> int:
+    """``value`` as an ``int``; ``error`` unless an integer (numpy's too) >= 1."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise error(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 class UnitarityError(TtmriError, ValueError):

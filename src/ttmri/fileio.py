@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, DimensionError
+from .errors import DataFormatError, DimensionError, _check_count
 from .mri import KSpaceVector, SamplingSpec
 from .tensor import ComplexTensor3
 
@@ -100,8 +100,8 @@ def _read_tensor_file(path):
     magic, n1, n2, n3, tag = _TENSOR_HEADER.unpack_from(raw)
     if magic != TENSOR_MAGIC:
         raise DataFormatError(f"{path}: bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
-    if min(n1, n2, n3) < 1:
-        raise DataFormatError(f"{path}: nonpositive dims ({n1}, {n2}, {n3})")
+    for k, n in enumerate((n1, n2, n3), 1):
+        _check_count(f"{path}: n{k}", n, DataFormatError)
     payload = raw[_TENSOR_HEADER.size :]
     count = n1 * n2 * n3
     if tag == DTYPE_COMPLEX128:
@@ -123,7 +123,7 @@ def load_tensor(path) -> ComplexTensor3:
     if tag != DTYPE_COMPLEX128:
         raise DataFormatError(f"{path}: dtype tag {tag} is not a complex tensor")
     data = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
-    return ComplexTensor3(data.reshape(n3, n1, n2))
+    return ComplexTensor3._wrap(data.reshape(n3, n1, n2))
 
 
 def load_mask(path) -> np.ndarray:

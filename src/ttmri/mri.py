@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, _check_count, _check_real
 from .tensor import ComplexTensor3
 from .transforms import UnitaryTransform, make_transform
 from .tsvd import t_product
@@ -252,8 +252,7 @@ def _ray_endpoint(ci: int, cj: int, di: float, dj: float, nx: int, ny: int):
 
 def _check_sizes(nx: int, ny: int, nt: int):
     for name, n in (("nx", nx), ("ny", ny), ("nt", nt)):
-        if not n >= 1:
-            raise ParameterError(f"{name} must be >= 1, got {n}")
+        _check_count(name, n)
 
 
 def gen_pseudo_radial_mask(
@@ -275,8 +274,7 @@ def gen_pseudo_radial_mask(
     center to the two boundary crossings, so the DC bin is always sampled.
     """
     _check_sizes(nx, ny, nt)
-    if lines < 1:
-        raise ParameterError(f"lines must be >= 1, got {lines}")
+    _check_count("lines", lines)
     if theta0 is not None and not math.isfinite(theta0):
         raise ParameterError(f"theta0 must be finite, got {theta0}")
     if lines > nx * ny:
@@ -395,7 +393,7 @@ def _rotating_bars(nx, ny, nt, rng):
 
 
 def _low_tubal_rank(nx, ny, nt, rng, rank, transform):
-    if not 1 <= rank <= min(nx, ny):
+    if _check_count("rank", rank) > min(nx, ny):
         raise ParameterError(f"rank must be in 1..{min(nx, ny)}, got {rank}")
     if transform is None:
         transform = make_transform("fft", nt)
@@ -438,8 +436,7 @@ def make_phantom(
 
 def add_noise(b: KSpaceVector, sigma: float, seed: int) -> KSpaceVector:
     """Add i.i.d. complex Gaussian noise with per-component std ``sigma``."""
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ParameterError(f"noise level must be finite and nonnegative, got {sigma}")
+    _check_real("noise level", sigma)
     if sigma == 0:
         return KSpaceVector(b.values, b.spec)
     rng = np.random.default_rng(seed)

@@ -17,7 +17,7 @@ from numbers import Number
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, _check_count
 
 __all__ = [
     "ComplexTensor3",
@@ -179,12 +179,10 @@ class BlockDiagView:
 
 def _check_dims(dims) -> tuple[int, int, int]:
     try:
-        n1, n2, n3 = (int(d) for d in dims)
+        n1, n2, n3 = dims
     except (TypeError, ValueError) as exc:
         raise DimensionError(f"dims must be three integers, got {dims!r}") from exc
-    if n1 < 1 or n2 < 1 or n3 < 1:
-        raise DimensionError(f"dims must be positive, got {(n1, n2, n3)}")
-    return n1, n2, n3
+    return tuple(_check_count(f"n{k}", n, DimensionError) for k, n in enumerate((n1, n2, n3), 1))
 
 
 def new_tensor(dims, data) -> ComplexTensor3:

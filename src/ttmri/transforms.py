@@ -11,12 +11,11 @@ after a unitarity check.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, UnitarityError
+from .errors import DimensionError, ParameterError, UnitarityError, _check_count, _check_real
 from .tensor import ComplexTensor3
 
 __all__ = [
@@ -134,9 +133,7 @@ def make_transform(kind: str, n3: int, matrix=None) -> UnitaryTransform:
     """
     if kind not in KINDS:
         raise ParameterError(f"unknown transform kind {kind!r}; expected one of {KINDS}")
-    if not (isinstance(n3, numbers.Integral) and n3 >= 1):
-        raise ParameterError(f"transform size must be an integer >= 1, got {n3!r}")
-    n3 = int(n3)
+    n3 = _check_count("transform size", n3)
     if kind != "matrix":
         if matrix is not None:
             raise ParameterError(f"kind={kind!r} does not take an explicit matrix")
@@ -181,8 +178,8 @@ def check_unitarity(
     worst relative deviation of the Frobenius norm, the inner product, and
     the apply/adjoint round trip.
     """
-    if not (isinstance(trials, numbers.Integral) and trials >= 1):
-        raise ParameterError(f"trials must be an integer >= 1, got {trials!r}")
+    _check_count("trials", trials)
+    _check_real("tol", tol)
     rng = np.random.default_rng(seed)
     n3 = transform.size
     dev_norm = dev_inner = dev_round = 0.0

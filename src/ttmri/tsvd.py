@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ParameterError
+from .errors import DimensionError, NumericError, ParameterError, _check_count, _check_real
 from .tensor import ComplexTensor3
 from .transforms import UnitaryTransform
 
@@ -209,8 +209,7 @@ def identity_tensor(n: int, n3: int, transform: UnitaryTransform) -> ComplexTens
     Every transformed frontal slice is the ``n x n`` identity matrix, so
     ``identity_tensor(n, n3, T) * A = A`` for any compatible ``A``.
     """
-    if n < 1 or n3 < 1:
-        raise ParameterError(f"sizes must be positive, got n={n}, n3={n3}")
+    n, n3 = _check_count("n", n), _check_count("n3", n3)
     if transform.size != n3:
         raise DimensionError(f"transform size {transform.size} does not match n3={n3}")
     stack = np.broadcast_to(np.eye(n, dtype=np.complex128), (n3, n, n))
@@ -225,6 +224,7 @@ def is_unitary_tensor(
     The deviation is measured in the Frobenius norm against
     ``tol * sqrt(n * n3)``.
     """
+    _check_real("tol", tol)
     n1, n2, n3 = q.dims
     if n1 != n2:
         raise DimensionError(f"unitary tensors must be square, got {n1} x {n2}")
@@ -339,8 +339,7 @@ def transformed_multirank(
     ``tol`` times the largest singular value over all slices, so the cut
     is consistent across slices.
     """
-    if not tol >= 0:
-        raise ParameterError(f"rank tolerance must be nonnegative, got {tol}")
+    _check_real("rank tolerance", tol)
     return _multirank(transformed_singular_values(x, transform), tol)
 
 
@@ -366,16 +365,22 @@ def transformed_spectral_norm(x: ComplexTensor3, transform: UnitaryTransform) ->
     return float(transformed_singular_values(x, transform).max(initial=0.0))
 
 
-def _threshold_vector(tau, n3: int) -> np.ndarray:
-    taus = np.asarray(tau, dtype=float)
-    if taus.ndim == 0:
-        taus = np.full(n3, float(taus))
-    elif taus.shape != (n3,):
-        raise DimensionError(
-            f"threshold vector has shape {taus.shape}, expected ({n3},)"
-        )
-    if np.any(taus < 0) or not np.all(np.isfinite(taus)):
-        raise ParameterError("thresholds must be finite and nonnegative")
+def _per_slice(value, n3: int | None, what: str) -> np.ndarray:
+    """``value`` as ``n3`` floats, a scalar repeated; ``n3=None`` admits any length."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"{what}s must be numbers, got {value!r}") from None
+    if arr.ndim == 0:
+        return arr if n3 is None else np.full(n3, float(arr))
+    if arr.shape != (n3 or arr.size,):
+        raise DimensionError(f"{what} vector has shape {arr.shape}, expected ({n3 or arr.size},)")
+    return arr
+
+
+def _threshold_vector(tau, n3: int | None) -> np.ndarray:
+    taus = _per_slice(tau, n3, "threshold")
+    _check_real("thresholds", taus)
     return taus
 
 

@@ -7,8 +7,11 @@ straight to numpy. Tests compare library outputs against these paths.
 """
 
 import numpy as np
+import pytest
 import scipy.fft
 import scipy.linalg
+
+from ttmri import admm
 
 # The random inputs are drawn by the library's own helpers, so the tests
 # and ``ttmri check`` share one definition of a random tensor, unitary,
@@ -17,6 +20,17 @@ from ttmri.mri import _random_kspace as random_kspace
 from ttmri.transforms import _random_tensor as rand_tensor
 from ttmri.transforms import _random_transform as random_transform
 from ttmri.transforms import _random_unitary as random_unitary
+
+
+@pytest.fixture
+def x_step_calls(monkeypatch):
+    """A list that gains one entry per call of the solvers' x-step, ``admm.x_update_gamma``."""
+    calls = []
+    x_update_gamma = admm.x_update_gamma
+    monkeypatch.setattr(
+        admm, "x_update_gamma", lambda *args: calls.append(1) or x_update_gamma(*args)
+    )
+    return calls
 
 
 def transform_matrix(kind: str, n3: int, matrix=None) -> np.ndarray:

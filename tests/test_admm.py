@@ -17,10 +17,12 @@ from ttmri import (
     ParameterError,
     SamplingSpec,
     adjoint,
+    check_unitarity,
     forward,
     frobenius_norm,
     gen_pseudo_radial_mask,
     gen_vds_mask,
+    is_unitary_tensor,
     l_update,
     make_phantom,
     make_transform,
@@ -29,6 +31,7 @@ from ttmri import (
     solve,
     solve_generalized,
     spatial_ifft,
+    sum_rank,
     transformed_multirank,
     transformed_singular_values,
     transformed_spectral_norm,
@@ -623,6 +626,22 @@ class TestSolveGeneralized:
         with pytest.raises(DimensionError):
             solve_generalized(b, spec, schedule, make_transform("fft", 4))
 
+    @pytest.mark.parametrize("last, error, match", [
+        (IterationParams(gamma=1.0, eta=1.0, tau=[0.1, 0.2, 0.3]), DimensionError,
+         r"iteration 51 threshold vector has shape \(3,\), expected \(4,\)"),
+        (IterationParams(gamma=1.0, eta=1.0, a=[-2.0] * 5), DimensionError,
+         r"iteration 51 relative weight vector has shape \(5,\)"),
+        (IterationParams(gamma=1.0, eta=1.0, tau=0.05, transform=make_transform("dct", 3)),
+         DimensionError, "iteration 51 transform size 3 does not match nt=4"),
+    ], ids=["tau-length", "a-length", "transform-size"])
+    def test_schedule_checked_before_first_iteration(self, x_step_calls, last, error, match):
+        # A bad last entry fails before iteration 1 and names the entry.
+        spec, _, b = self._setup(seed=30)
+        schedule = [IterationParams(gamma=1.0, eta=1.0, tau=0.05)] * 50 + [last]
+        with pytest.raises(error, match=match):
+            solve_generalized(b, spec, schedule, make_transform("fft", 4), record_history=False)
+        assert x_step_calls == []
+
     def test_iteration_params_validation(self):
         with pytest.raises(ParameterError):
             IterationParams(gamma=-1.0, eta=1.0, tau=0.1)
@@ -651,6 +670,7 @@ def _nan_cases():
     spec = gen_vds_mask(10, 8, 4, accel=2.0, seed=29)
     b = KSpaceVector(np.zeros(spec.m), spec)
     z = ComplexTensor3.zeros(spec.dims)
+    square = ComplexTensor3.zeros((2, 2, 4))
     step = [IterationParams(gamma=1.0, eta=1.0, tau=0.05)]
     return {
         "config-lam": lambda: AdmmConfig(lam=nan, mu=1.0, transform=t),
@@ -680,6 +700,23 @@ def _nan_cases():
         "x_update_cartesian-mu-inf": lambda: x_update_cartesian(z, z, b, spec, inf),
         "x_update_gamma-gamma-inf": lambda: x_update_gamma(z, z, b, spec, inf),
         "multirank-tol": lambda: transformed_multirank(z, t, tol=nan),
+        "params-tau-negative": lambda: IterationParams(gamma=1.0, eta=1.0, tau=-0.1),
+        "params-tau-string": lambda: IterationParams(gamma=1.0, eta=1.0, tau="abc"),
+        "params-tau-vector-nan": lambda: IterationParams(gamma=1.0, eta=1.0, tau=[0.1, nan]),
+        "params-a-nan": lambda: IterationParams(gamma=1.0, eta=1.0, a=nan),
+        "params-a-string": lambda: IterationParams(gamma=1.0, eta=1.0, a="abc"),
+        "generalized-report_lambda-negative": lambda: solve_generalized(
+            b, spec, step, t, report_lambda=-1.0
+        ),
+        "generalized-report_lambda-inf": lambda: solve_generalized(
+            b, spec, step, t, report_lambda=inf
+        ),
+        "multirank-tol-inf": lambda: transformed_multirank(z, t, tol=inf),
+        "sum_rank-tol-inf": lambda: sum_rank(z, t, tol=inf),
+        "is_unitary_tensor-tol-nan": lambda: is_unitary_tensor(square, t, tol=nan),
+        "is_unitary_tensor-tol-inf": lambda: is_unitary_tensor(square, t, tol=inf),
+        "check_unitarity-tol-nan": lambda: check_unitarity(t, tol=nan),
+        "check_unitarity-tol-inf": lambda: check_unitarity(t, tol=inf),
     }
 
 

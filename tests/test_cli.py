@@ -370,8 +370,8 @@ def test_non_finite_config_number_is_usage_error(pipeline, capsys, overrides, ke
 
 
 @pytest.mark.parametrize("entry, message", [
-    ({**_SCHEDULE_ENTRY, "eta": -1}, "'schedule[1].eta' must be nonnegative"),
-    ({**_SCHEDULE_ENTRY, "gamma": -2.0}, "'schedule[1].gamma' must be nonnegative"),
+    ({**_SCHEDULE_ENTRY, "eta": -1}, "'schedule[1]': eta must be finite and nonnegative"),
+    ({**_SCHEDULE_ENTRY, "gamma": -2.0}, "'schedule[1]': gamma must be finite and nonnegative"),
     ({**_SCHEDULE_ENTRY, "gamma": "fast"}, "'schedule[1].gamma' must be a number"),
     ({"eta": 1.0, "tau": 0.1}, "'schedule[1].gamma' is required"),
 ], ids=["eta-negative", "gamma-negative", "gamma-string", "gamma-missing"])
@@ -382,6 +382,25 @@ def test_schedule_error_names_the_entry(pipeline, capsys, entry, message):
     assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
                "--out", tmp_path / "r.t2t") == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({**_SCHEDULE_ENTRY, "tau": -0.1}, "thresholds must be finite and nonnegative"),
+    ({**_SCHEDULE_ENTRY, "a": -2.0}, "exactly one of tau (absolute) and a (relative)"),
+], ids=["tau-negative", "tau-and-a"])
+def test_schedule_value_rejected_before_any_iteration(pipeline, capsys, x_step_calls,
+                                                      entry, message):
+    # The library's rule rejects the entry while the config is read: the
+    # error names it, no iteration runs and no file is written.
+    tmp_path, _, mask, kspace = pipeline
+    cfg = write_config(tmp_path / "cfg.json", mode="generalized",
+                       schedule=[_SCHEDULE_ENTRY, _SCHEDULE_ENTRY, entry])
+    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
+               "--out", tmp_path / "r.t2t") == 2
+    err = capsys.readouterr().err
+    assert "config key 'schedule[2]': " in err and message in err
+    assert x_step_calls == []
+    assert not list(tmp_path.glob("r.t2t*"))
 
 
 @pytest.mark.parametrize("path", [None, 3, ["m.npy"]], ids=["null", "number", "list"])

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,22 @@ class TestTensorFormat:
         back = load_tensor(path)
         assert back.dims == x.dims
         assert np.array_equal(back.slices, x.slices)
+
+    def test_load_copies_the_payload_once(self, tmp_path):
+        # The file's bytes and one decoded array; no second copy of the array.
+        rng = np.random.default_rng(2)
+        x = rand_tensor(rng, (64, 64, 128))
+        path = tmp_path / "x.t2t"
+        save_tensor(path, x)
+        tracemalloc.start()
+        try:
+            back = load_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.slices.tobytes() == x.slices.tobytes()
+        assert not back.slices.flags.writeable
+        assert peak <= 2.2 * x.slices.nbytes
 
     def test_header_layout(self, tmp_path):
         x = ComplexTensor3.zeros((2, 3, 4))

@@ -337,6 +337,25 @@ class TestPhantoms:
             make_phantom(8, 8, 2, "low_tubal_rank", seed=0, rank=9)
 
 
+_NON_INTEGER_SIZES = {
+    "phantom-nx-float": lambda: make_phantom(8.5, 8, 2, "moving_ellipse", seed=0),
+    "phantom-ny-string": lambda: make_phantom(8, "8", 2, "rotating_bars", seed=0),
+    "phantom-rank-float": lambda: make_phantom(8, 8, 2, "low_tubal_rank", seed=0, rank=1.5),
+    "radial-nx-whole-float": lambda: gen_pseudo_radial_mask(8.0, 8, 2, 2, 1),
+    "radial-lines-float": lambda: gen_pseudo_radial_mask(8, 8, 2, 2.5, 1),
+    "vds-nt-whole-float": lambda: gen_vds_mask(8, 8, 2.0, 4.0, 1),
+    "vds-ny-string": lambda: gen_vds_mask(8, "8", 2, 4.0, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_INTEGER_SIZES))
+def test_non_integer_size_rejected(case):
+    # Sizes, spoke counts and ranks are integers >= 1; a float or a string
+    # is a ParameterError, not a TypeError from deep inside numpy.
+    with pytest.raises(ParameterError, match="must be an integer >= 1"):
+        _NON_INTEGER_SIZES[case]()
+
+
 class TestNoise:
     def test_zero_sigma_unchanged(self):
         rng = np.random.default_rng(11)

@@ -49,6 +49,20 @@ class TestNewTensor:
         with pytest.raises(DimensionError):
             new_tensor((0, 2, 2), [])
 
+    @pytest.mark.parametrize("dims", [(2.5, 2, 1), (2.0, 2, 1), ("3", 2, 1), (2, 2, np.float64(1))],
+                             ids=["float", "whole-float", "string", "numpy-float"])
+    @pytest.mark.parametrize("make", ["new_tensor", "zeros"])
+    def test_non_integer_dims_rejected(self, make, dims):
+        # int() would truncate 2.5 to 2 and parse "3"; a size must be an integer.
+        with pytest.raises(DimensionError, match="must be an integer >= 1"):
+            if make == "zeros":
+                ComplexTensor3.zeros(dims)
+            else:
+                new_tensor(dims, np.zeros(4))
+
+    def test_numpy_integer_dims_accepted(self):
+        assert ComplexTensor3.zeros((np.int64(2), np.uint8(3), 1)).dims == (2, 3, 1)
+
     def test_slices_partition(self):
         rng = np.random.default_rng(0)
         x = rand_tensor(rng, (3, 4, 5))

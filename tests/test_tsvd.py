@@ -88,6 +88,12 @@ class TestTProduct:
         expected = fiber_transform(chat, w.conj().T)
         assert np.allclose(c.to_array(), expected, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("n, n3", [(2.5, 2), (2, 2.0), ("2", 2)],
+                             ids=["n-float", "n3-whole-float", "n-string"])
+    def test_identity_tensor_non_integer_size_rejected(self, n, n3):
+        with pytest.raises(ParameterError, match="must be an integer >= 1"):
+            identity_tensor(n, n3, make_transform("fft", 2))
+
     def test_dimension_errors(self):
         t = make_transform("fft", 3)
         a = ComplexTensor3.zeros((3, 4, 3))
