@@ -333,8 +333,9 @@ def solve_generalized(
     scheme has no single regularisation parameter.
 
     All checks run before the first iteration: ``rel_tol >= 0`` (``inf``
-    allowed), ``report_lambda`` finite and ``>= 0``, and each entry's
-    transform size and threshold length against ``nt``, naming the entry.
+    allowed), ``report_lambda`` finite and ``>= 0``, and each distinct
+    entry's transform size and threshold length against ``nt``, naming the
+    entry's first iteration.
     """
     if not schedule:
         raise ParameterError("schedule must contain at least one entry")
@@ -342,8 +343,11 @@ def solve_generalized(
     _check_real("report_lambda", report_lambda)
     _check_kspace(b, spec)
     nt = spec.dims[2]
-    transforms = [params.transform or init_transform for params in schedule]
-    for n, (params, transform) in enumerate(zip(schedule, transforms), start=1):
+    firsts = {}  # each distinct entry, by identity, with its first iteration
+    for n, params in enumerate(schedule, start=1):
+        firsts.setdefault(id(params), (n, params))
+    for n, params in firsts.values():
+        transform = params.transform or init_transform
         try:
             if transform.size != nt:
                 raise DimensionError(f"transform size {transform.size} does not match nt={nt}")
@@ -353,7 +357,8 @@ def solve_generalized(
     x = adjoint(b)
     l = ComplexTensor3.zeros(spec.dims)
     history: list[IterationStats] = []
-    for n, (params, transform) in enumerate(zip(schedule, transforms), start=1):
+    for n, params in enumerate(schedule, start=1):
+        transform = params.transform or init_transform
         tic = time.perf_counter()
         # Each iterate is released as soon as it is spent (the previous
         # z before the shrinkage, y = x + l once shrunk, the previous x
@@ -371,13 +376,9 @@ def solve_generalized(
         if not all(np.isfinite(t.slices).all() for t in (x, z, l)):
             raise DivergenceError(f"non-finite iterate at iteration {n}", iteration=n)
         if record_history:
-            stats = _iteration_stats(
-                n, x, z, b, spec, transform, report_lambda, elapsed_ms
-            )
+            stats = _iteration_stats(n, x, z, b, spec, transform, report_lambda, elapsed_ms)
             if not np.isfinite(stats.objective):
-                raise DivergenceError(
-                    f"non-finite objective at iteration {n}", iteration=n
-                )
+                raise DivergenceError(f"non-finite objective at iteration {n}", iteration=n)
             history.append(stats)
         if rel < rel_tol:
             break

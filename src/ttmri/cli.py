@@ -24,8 +24,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, admm, checks, fileio, mri, tsvd
 from .errors import DataFormatError, NumericError, ParameterError, TtmriError, UnitarityError
 from .transforms import KINDS, make_transform
@@ -57,6 +55,11 @@ def _format_snr(v: float) -> str:
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    """``v`` is within the float range: not NaN, infinite, or an integer too large for a float."""
+    return abs(v) <= sys.float_info.max
 
 
 def _write_manifest(args, parameters, inputs, outputs, seed=None):
@@ -108,9 +111,9 @@ def _cfg_get(cfg, key, kind, required=False, default=None, prefix=""):
     if kind is float:
         if not _is_number(value):
             raise ConfigError(f"config key '{name}' must be a number")
-        value = float(value)
-        if not math.isfinite(value):
+        if not _is_finite(value):
             raise ConfigError(f"config key '{name}' must be finite")
+        value = float(value)
     elif kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"config key '{name}' must be an integer")
@@ -158,7 +161,7 @@ def _parse_recon_config(path, nt):
     """
     try:
         cfg = json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # undecodable, not JSON, or an integer beyond int's digit limit
         raise DataFormatError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -198,7 +201,7 @@ def _parse_recon_config(path, nt):
                 raise ConfigError(
                     f"config key '{key}.{name}' must be a number or a list of {nt} numbers"
                 )
-            if not np.all(np.isfinite(raw)):
+            if not all(map(_is_finite, raw if is_list else [raw])):
                 raise ConfigError(f"config key '{key}.{name}' must be finite")
         entry_transform = (
             _transform_from_config(entry["transform"], nt, f"{key}.transform")

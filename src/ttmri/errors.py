@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the parameter rules that raise them."""
 
 import numbers
+import sys
 
 import numpy as np
 
@@ -30,9 +31,11 @@ def _check_real(name, value, positive=False, finite=True):
 
 
 def _check_count(name, value, error=ParameterError) -> int:
-    """``value`` as an ``int``; ``error`` unless an integer (numpy's too) >= 1."""
+    """``value`` as an ``int``; ``error`` unless an integer (numpy's too) in [1, sys.maxsize]."""
     if not (isinstance(value, numbers.Integral) and value >= 1):
         raise error(f"{name} must be an integer >= 1, got {value!r}")
+    if value > sys.maxsize:
+        raise error(f"{name} must be at most {sys.maxsize}, got {value!r}")
     return int(value)
 
 

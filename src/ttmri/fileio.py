@@ -10,12 +10,14 @@ count ``m``, then ``m`` complex doubles in raster order. The path of the
 mask that produced the samples travels in a sidecar text file at
 ``<path>.mask``.
 
-All writes are atomic: data goes to a temporary file in the target
-directory and is renamed into place.
+A load checks the header and the payload length, then reads the payload
+once, into the array it returns. A save writes the header and the payload
+in turn to a temporary file in the target directory, renamed into place.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -55,13 +57,14 @@ _TENSOR_HEADER = struct.Struct("<4sIIIB")
 _KSPACE_HEADER = struct.Struct("<4sQ")
 
 
-def atomic_write_bytes(path, data: bytes):
-    """Write bytes to ``path`` via a temporary file and rename."""
+def atomic_write_bytes(path, *chunks):
+    """Write ``chunks`` (bytes or C-contiguous arrays) in turn via a temporary file and rename."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -73,75 +76,81 @@ def atomic_write_text(path, text: str):
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _read(path, header: struct.Struct, magic: bytes, rule):
+    """The payload of ``path`` after a ``header`` led by ``magic``, read once into one array.
+
+    ``rule(*fields)`` checks the other header fields and gives the payload's
+    dtype and shape; its length is checked against the file before any read.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read(header.size)
+        if len(raw) < header.size:
+            raise DataFormatError(f"{path}: truncated header")
+        found, *fields = header.unpack(raw)
+        if found != magic:
+            raise DataFormatError(f"{path}: bad magic {found!r}, expected {magic!r}")
+        dtype, shape = rule(*fields)
+        expected = math.prod(shape) * np.dtype(dtype).itemsize
+        size = os.fstat(fh.fileno()).st_size - header.size
+        if size == expected:
+            data = np.empty(shape, dtype)
+            size = fh.readinto(data)
+        if size != expected:
+            raise DataFormatError(f"{path}: payload is {size} bytes, expected {expected}")
+    return data
+
+
+# Payload dtype and what it holds, per T2T1 dtype tag.
+_TENSOR_TAGS = {DTYPE_COMPLEX128: ("<c16", "a complex tensor"), DTYPE_UINT8: ("u1", "a mask")}
+
+
+def _read_tensor_file(path, tag: int) -> np.ndarray:
+    """The ``(n3, n1, n2)`` payload of a T2T1 file whose dtype tag must be ``tag``."""
+
+    def rule(n1, n2, n3, found):
+        for k, n in enumerate((n1, n2, n3), 1):
+            _check_count(f"{path}: n{k}", n, DataFormatError)
+        if found not in _TENSOR_TAGS:
+            raise DataFormatError(f"{path}: unknown dtype tag {found}")
+        if found != tag:
+            raise DataFormatError(f"{path}: dtype tag {found} is not {_TENSOR_TAGS[tag][1]}")
+        return _TENSOR_TAGS[tag][0], (n3, n1, n2)
+
+    return _read(path, _TENSOR_HEADER, TENSOR_MAGIC, rule)
+
+
 def save_tensor(path, x: ComplexTensor3):
     """Write a complex tensor in the T2T1 format."""
-    n1, n2, n3 = x.dims
-    header = _TENSOR_HEADER.pack(TENSOR_MAGIC, n1, n2, n3, DTYPE_COMPLEX128)
-    payload = np.ascontiguousarray(x.slices, dtype="<c16").tobytes()
-    atomic_write_bytes(path, header + payload)
-
-
-def save_mask(path, spec_or_mask):
-    """Write a sampling mask in the T2T1 format with the u8 dtype tag."""
-    mask = spec_or_mask.mask if isinstance(spec_or_mask, SamplingSpec) else spec_or_mask
-    mask = np.asarray(mask)
-    if mask.ndim != 3:
-        raise DimensionError(f"mask must be 3-way, got ndim={mask.ndim}")
-    nt, nx, ny = mask.shape
-    header = _TENSOR_HEADER.pack(TENSOR_MAGIC, nx, ny, nt, DTYPE_UINT8)
-    payload = np.ascontiguousarray(mask, dtype=np.uint8).tobytes()
-    atomic_write_bytes(path, header + payload)
-
-
-def _read_tensor_file(path):
-    raw = Path(path).read_bytes()
-    if len(raw) < _TENSOR_HEADER.size:
-        raise DataFormatError(f"{path}: truncated header")
-    magic, n1, n2, n3, tag = _TENSOR_HEADER.unpack_from(raw)
-    if magic != TENSOR_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
-    for k, n in enumerate((n1, n2, n3), 1):
-        _check_count(f"{path}: n{k}", n, DataFormatError)
-    payload = raw[_TENSOR_HEADER.size :]
-    count = n1 * n2 * n3
-    if tag == DTYPE_COMPLEX128:
-        expected = count * 16
-    elif tag == DTYPE_UINT8:
-        expected = count
-    else:
-        raise DataFormatError(f"{path}: unknown dtype tag {tag}")
-    if len(payload) != expected:
-        raise DataFormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    return (n1, n2, n3), tag, payload
+    header = _TENSOR_HEADER.pack(TENSOR_MAGIC, *x.dims, DTYPE_COMPLEX128)
+    atomic_write_bytes(path, header, np.ascontiguousarray(x.slices, dtype="<c16"))
 
 
 def load_tensor(path) -> ComplexTensor3:
     """Read a complex tensor from a T2T1 file."""
-    (n1, n2, n3), tag, payload = _read_tensor_file(path)
-    if tag != DTYPE_COMPLEX128:
-        raise DataFormatError(f"{path}: dtype tag {tag} is not a complex tensor")
-    data = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
-    return ComplexTensor3._wrap(data.reshape(n3, n1, n2))
+    return ComplexTensor3._wrap(_read_tensor_file(path, DTYPE_COMPLEX128))
+
+
+def save_mask(path, spec_or_mask):
+    """Write a sampling mask in the T2T1 format with the u8 dtype tag."""
+    spec = spec_or_mask
+    if not isinstance(spec, SamplingSpec):
+        spec = SamplingSpec(np.array(spec))  # a copy, as a spec makes its mask read-only
+    header = _TENSOR_HEADER.pack(TENSOR_MAGIC, *spec.dims, DTYPE_UINT8)
+    atomic_write_bytes(path, header, spec.mask.view(np.uint8))
 
 
 def load_mask(path) -> np.ndarray:
     """Read a sampling mask from a T2T1 file, returned as bool (nt, nx, ny)."""
-    (nx, ny, nt), tag, payload = _read_tensor_file(path)
-    if tag != DTYPE_UINT8:
-        raise DataFormatError(f"{path}: dtype tag {tag} is not a mask")
-    data = np.frombuffer(payload, dtype=np.uint8)
-    if not np.all((data == 0) | (data == 1)):
+    data = _read_tensor_file(path, DTYPE_UINT8)
+    if data.max() > 1:
         raise DataFormatError(f"{path}: mask entries must be 0 or 1")
-    return data.reshape(nt, nx, ny).astype(bool)
+    return data.view(bool)
 
 
 def save_kspace(path, b: KSpaceVector, mask_path=None):
     """Write sampled k-space values; record the mask path in a sidecar."""
     header = _KSPACE_HEADER.pack(KSPACE_MAGIC, b.m)
-    payload = np.ascontiguousarray(b.values, dtype="<c16").tobytes()
-    atomic_write_bytes(path, header + payload)
+    atomic_write_bytes(path, header, np.ascontiguousarray(b.values, dtype="<c16"))
     if mask_path is not None:
         atomic_write_text(f"{path}.mask", str(mask_path) + "\n")
 
@@ -153,18 +162,7 @@ def load_kspace(path):
     sidecar file if present, else ``None``. Pair the values with the mask
     through :class:`KSpaceVector` once the mask is loaded.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < _KSPACE_HEADER.size:
-        raise DataFormatError(f"{path}: truncated header")
-    magic, m = _KSPACE_HEADER.unpack_from(raw)
-    if magic != KSPACE_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}, expected {KSPACE_MAGIC!r}")
-    payload = raw[_KSPACE_HEADER.size :]
-    if len(payload) != m * 16:
-        raise DataFormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {m * 16}"
-        )
-    values = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
+    values = _read(path, _KSPACE_HEADER, KSPACE_MAGIC, lambda m: ("<c16", (m,)))
     sidecar = Path(f"{path}.mask")
     try:
         mask_path = sidecar.read_text().strip() if sidecar.exists() else None
@@ -195,14 +193,10 @@ def load_transform_matrix(path) -> np.ndarray:
 def write_pgm(path, frame: np.ndarray, global_max: float):
     """Write one magnitude frame as an 8-bit binary PGM image."""
     mag = np.abs(np.asarray(frame))
-    if global_max > 0:
-        levels = np.rint(255.0 * mag / global_max)
-    else:
-        levels = np.zeros_like(mag)
+    levels = np.rint(255.0 * mag / global_max) if global_max > 0 else np.zeros_like(mag)
     data = np.clip(levels, 0, 255).astype(np.uint8)
     nx, ny = data.shape
-    header = f"P5\n{ny} {nx}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + data.tobytes())
+    atomic_write_bytes(path, f"P5\n{ny} {nx}\n255\n".encode("ascii"), data)
 
 
 def dump_frames_pgm(directory, x: ComplexTensor3, prefix="frame"):
@@ -210,9 +204,7 @@ def dump_frames_pgm(directory, x: ComplexTensor3, prefix="frame"):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     global_max = float(np.abs(x.slices).max())
-    paths = []
-    for k in range(x.dims[2]):
-        path = directory / f"{prefix}_{k + 1:03d}.pgm"
-        write_pgm(path, x.slices[k], global_max)
-        paths.append(path)
+    paths = [directory / f"{prefix}_{k:03d}.pgm" for k in range(1, x.dims[2] + 1)]
+    for path, frame in zip(paths, x.slices):
+        write_pgm(path, frame, global_max)
     return paths

@@ -88,7 +88,7 @@ class SamplingSpec:
     then the frame index ``k``.
     """
 
-    __slots__ = ("_mask", "_seed", "_descriptor", "_index")
+    __slots__ = ("_mask", "_m", "_seed", "_descriptor", "_index")
 
     def __init__(self, mask, seed=None, descriptor=None):
         arr = np.asarray(mask)
@@ -101,6 +101,7 @@ class SamplingSpec:
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         self._mask = arr
+        self._m = int(np.count_nonzero(arr))
         self._seed = seed
         self._descriptor = dict(descriptor) if descriptor else {}
         self._index = None
@@ -119,7 +120,7 @@ class SamplingSpec:
     @property
     def m(self) -> int:
         """Number of sampled k-space locations."""
-        return int(self._mask.sum())
+        return self._m
 
     @property
     def seed(self):

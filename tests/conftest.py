@@ -6,6 +6,9 @@ einsum, block-diagonal matrices are densified with scipy, and SVDs go
 straight to numpy. Tests compare library outputs against these paths.
 """
 
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -31,6 +34,18 @@ def x_step_calls(monkeypatch):
         admm, "x_update_gamma", lambda *args: calls.append(1) or x_update_gamma(*args)
     )
     return calls
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """A list that gains the peak of the memory traced in the block when the block exits."""
+    peak = []
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
 
 
 def transform_matrix(kind: str, n3: int, matrix=None) -> np.ndarray:

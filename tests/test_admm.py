@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +48,7 @@ from conftest import (
     rand_tensor,
     random_kspace,
     scatter_oracle,
+    traced_peak,
 )
 
 
@@ -269,14 +269,9 @@ class TestWorkingSet:
     @staticmethod
     def _peak_over_inputs(run) -> float:
         run()  # the first call fills the caches (DCT matrix, grid index)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+        with traced_peak() as peak:
             run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return peak - base
+        return peak[0]
 
     def _inputs(self, kind):
         truth = make_phantom(64, 64, 16, "moving_ellipse", 48)
@@ -456,6 +451,8 @@ class TestSolve:
             AdmmConfig(lam=1.0, mu=1.0, eta=0.0, transform=t)
         with pytest.raises(ParameterError):
             AdmmConfig(lam=1.0, mu=1.0, transform=t, max_iters=0)
+        with pytest.raises(ParameterError, match="max_iters must be at most"):
+            AdmmConfig(lam=1.0, mu=1.0, transform=t, max_iters=2**70)
 
 
 class TestSolveGeneralized:
@@ -640,6 +637,27 @@ class TestSolveGeneralized:
         schedule = [IterationParams(gamma=1.0, eta=1.0, tau=0.05)] * 50 + [last]
         with pytest.raises(error, match=match):
             solve_generalized(b, spec, schedule, make_transform("fft", 4), record_history=False)
+        assert x_step_calls == []
+
+    def test_each_distinct_entry_checked_once(self, monkeypatch):
+        # A classic solve checks its one entry once, not once per allowed iteration.
+        checked = []
+        thresholds = IterationParams._thresholds
+        monkeypatch.setattr(
+            IterationParams, "_thresholds", lambda p, nt: checked.append(nt) or thresholds(p, nt)
+        )
+        spec, _, b = self._setup(seed=31)
+        config = AdmmConfig(lam=0.05, mu=1.0, transform=make_transform("fft", 4),
+                            max_iters=10_000, rel_tol=math.inf)
+        assert solve(b, spec, config).iterations_run == 1
+        assert checked == [None, 4]  # built, then checked against nt
+
+    def test_repeated_bad_entry_names_its_first_iteration(self, x_step_calls):
+        spec, _, b = self._setup(seed=32)
+        good = IterationParams(gamma=1.0, eta=1.0, tau=0.05)
+        bad = IterationParams(gamma=1.0, eta=1.0, tau=[0.1, 0.2])
+        with pytest.raises(DimensionError, match="iteration 3 threshold vector"):
+            solve_generalized(b, spec, [good, good, bad, good, bad], make_transform("fft", 4))
         assert x_step_calls == []
 
     def test_iteration_params_validation(self):

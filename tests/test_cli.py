@@ -196,6 +196,15 @@ class TestReconCommand:
         assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
                    "--out", tmp_path / "r.t2t") == 3
 
+    def test_integer_beyond_the_digit_limit_is_data_error(self, pipeline, capsys):
+        # Python's JSON reader refuses integers of more than 4300 digits.
+        tmp_path, _, mask, kspace = pipeline
+        cfg = tmp_path / "long.json"
+        cfg.write_text('{"mode": "classic", "lambda": 1' + "0" * 5000 + "}")
+        assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
+                   "--out", tmp_path / "r.t2t") == 3
+        assert "config is not valid JSON" in capsys.readouterr().err
+
     def test_relative_schedule_runs(self, pipeline):
         tmp_path, _, mask, kspace = pipeline
         schedule = [{"gamma": 1.0, "eta": 1.0, "a": [-2.0, -2.0, -2.0, -2.0]}] * 3
@@ -367,6 +376,31 @@ def test_non_finite_config_number_is_usage_error(pipeline, capsys, overrides, ke
     err = capsys.readouterr().err
     assert key in err and "finite" in err
     assert not out.exists()
+
+
+# A JSON integer that no float can hold.
+_HUGE = int("1" + "0" * 400)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"lambda": _HUGE}, "config key 'lambda' must be finite"),
+    ({"mode": "generalized", "schedule": [_SCHEDULE_ENTRY, {**_SCHEDULE_ENTRY, "tau": _HUGE}]},
+     "config key 'schedule[1].tau' must be finite"),
+    ({"mode": "generalized", "schedule": [{"gamma": 1.0, "eta": 1.0, "a": [0, _HUGE, 0, 0]}]},
+     "config key 'schedule[0].a' must be finite"),
+    ({"max_iters": _HUGE}, "config: max_iters must be at most"),
+], ids=["lambda", "tau", "a", "max_iters"])
+def test_number_beyond_the_solver_is_usage_error(pipeline, capsys, x_step_calls,
+                                                 overrides, message):
+    # JSON holds these numbers but no float or list size can: the config is
+    # rejected, no iteration runs and no file is written.
+    tmp_path, _, mask, kspace = pipeline
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
+               "--out", tmp_path / "r.t2t") == 2
+    assert message in capsys.readouterr().err
+    assert x_step_calls == []
+    assert not list(tmp_path.glob("r.t2t*"))
 
 
 @pytest.mark.parametrize("entry, message", [

@@ -1,10 +1,16 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from ttmri import ComplexTensor3, DataFormatError, KSpaceVector, SamplingSpec, forward
+from ttmri import (
+    ComplexTensor3,
+    DataFormatError,
+    KSpaceVector,
+    ParameterError,
+    SamplingSpec,
+    forward,
+)
 from ttmri.fileio import (
     dump_frames_pgm,
     load_kspace,
@@ -17,7 +23,7 @@ from ttmri.fileio import (
     save_transform_matrix,
 )
 
-from conftest import rand_tensor, random_kspace, random_unitary
+from conftest import rand_tensor, random_kspace, random_unitary, traced_peak
 
 
 class TestTensorFormat:
@@ -31,20 +37,35 @@ class TestTensorFormat:
         assert np.array_equal(back.slices, x.slices)
 
     def test_load_copies_the_payload_once(self, tmp_path):
-        # The file's bytes and one decoded array; no second copy of the array.
+        # The payload is read straight into the array that keeps it.
         rng = np.random.default_rng(2)
         x = rand_tensor(rng, (64, 64, 128))
         path = tmp_path / "x.t2t"
         save_tensor(path, x)
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             back = load_tensor(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert back.slices.tobytes() == x.slices.tobytes()
+        assert np.array_equal(back.slices, x.slices)
         assert not back.slices.flags.writeable
-        assert peak <= 2.2 * x.slices.nbytes
+        assert peak[0] <= 1.2 * x.slices.nbytes
+
+    def test_save_copies_nothing(self, tmp_path):
+        # The header and the tensor's own array go to the file in turn.
+        x = rand_tensor(np.random.default_rng(3), (64, 64, 128))
+        path = tmp_path / "x.t2t"
+        with traced_peak() as peak:
+            save_tensor(path, x)
+        assert peak[0] <= 0.2 * x.slices.nbytes
+        assert np.array_equal(load_tensor(path).slices, x.slices)
+
+    def test_oversized_header_is_rejected_before_any_read(self, tmp_path):
+        # 2^31 x 2^31 x 2 complex entries claimed by a 33-byte file.
+        path = tmp_path / "x.t2t"
+        path.write_bytes(struct.pack("<4sIIIB", b"T2T1", 2**31, 2**31, 2, 0) + bytes(16))
+        with traced_peak() as peak, pytest.raises(
+            DataFormatError, match=f"payload is 16 bytes, expected {2**67}"
+        ):
+            load_tensor(path)
+        assert peak[0] < 1 << 20
 
     def test_header_layout(self, tmp_path):
         x = ComplexTensor3.zeros((2, 3, 4))
@@ -80,6 +101,13 @@ class TestTensorFormat:
         save_tensor(path, x)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataFormatError):
+            load_tensor(path)
+
+    def test_long_payload(self, tmp_path):
+        path = tmp_path / "x.t2t"
+        save_tensor(path, ComplexTensor3.zeros((2, 2, 2)))
+        path.write_bytes(path.read_bytes() + bytes(1))
+        with pytest.raises(DataFormatError, match="payload is 129 bytes, expected 128"):
             load_tensor(path)
 
     def test_unknown_dtype_tag(self, tmp_path):
@@ -120,6 +148,12 @@ class TestMaskFormat:
         raw = path.read_bytes()
         assert struct.unpack_from("<III", raw, 4) == (2, 3, 4)
         assert raw[16] == 1
+
+    def test_non_binary_array_not_saved(self, tmp_path):
+        # The mask rule of SamplingSpec applies, so no unreadable file is written.
+        with pytest.raises(ParameterError, match="boolean or 0/1"):
+            save_mask(tmp_path / "m.t2t", np.full((1, 2, 2), 2))
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_binary_payload_rejected(self, tmp_path):
         path = tmp_path / "m.t2t"
@@ -174,6 +208,16 @@ class TestKSpaceFormat:
         path.write_bytes(struct.pack("<4sQ", b"T2K1", 3) + bytes(16))
         with pytest.raises(DataFormatError):
             load_kspace(path)
+
+    def test_load_copies_the_values_once(self, tmp_path):
+        spec = SamplingSpec(np.ones((16, 128, 128), dtype=bool))
+        b = random_kspace(np.random.default_rng(5), spec)
+        path = tmp_path / "b.t2k"
+        save_kspace(path, b)
+        with traced_peak() as peak:
+            values, _ = load_kspace(path)
+        assert np.array_equal(values, b.values)
+        assert peak[0] <= 1.2 * b.values.nbytes
 
     def test_values_in_raster_order(self, tmp_path):
         rng = np.random.default_rng(4)
