@@ -29,6 +29,7 @@ from .tsvd import _per_slice, _shrink, _threshold_vector, _transformed_stack, t_
 from .tsvd import transformed_singular_values
 
 __all__ = [
+    "MAX_ITERS",
     "AdmmConfig",
     "IterationParams",
     "IterationStats",
@@ -41,6 +42,9 @@ __all__ = [
     "solve",
     "solve_generalized",
 ]
+
+# Largest max_iters: ``solve`` lists one schedule entry per allowed iteration.
+MAX_ITERS = 1_000_000
 
 
 @dataclass
@@ -59,7 +63,7 @@ class AdmmConfig:
         _check_real("lambda", self.lam)
         _check_real("mu", self.mu, positive=True)
         _check_real("eta", self.eta, positive=True)
-        _check_count("max_iters", self.max_iters)
+        _check_count("max_iters", self.max_iters, most=MAX_ITERS)
         _check_real("rel_tol", self.rel_tol, finite=False)
 
 
@@ -128,7 +132,8 @@ def z_update(
 
 
 def _check_kspace(b: KSpaceVector, spec: SamplingSpec, *tensors: ComplexTensor3):
-    if b.m != spec.m or b.spec.dims != spec.dims:
+    # Identity first, so the check inside the solver loop costs nothing.
+    if spec is not b.spec and not np.array_equal(spec.mask, b.spec.mask):
         raise DimensionError("k-space vector is inconsistent with the sampling spec")
     if any(t.dims != spec.dims for t in tensors):
         raise DimensionError("tensor dims do not match the sampling spec")
@@ -178,27 +183,21 @@ def _data_consistency(
     l_prev: ComplexTensor3,
     b: KSpaceVector,
     spec: SamplingSpec,
-    data_weight: float,
-    prior_weight: float,
+    d: float,
+    p: float,
 ) -> ComplexTensor3:
     """``(d A^H A + p)^{-1} (d A^H b + p (Z - L))`` for ``d, p >= 0``, ``d + p > 0``.
 
-    Both x-steps are this solve: the classic one with ``d = 1, p = mu``,
-    the gamma one with ``d = gamma, p = 1``. ``A^H A`` is diagonal in
-    k-space, so the solve is one division per entry. The whole step runs
-    in one fresh array: ``Z - L``, its centered FFT, the scaled data added
-    at the sampled entries, the division (``d + p`` where sampled, ``p``
-    elsewhere, skipped when ``p = 1``) and the inverse FFT. ``p = 0``
-    needs a full mask, or unsampled entries are 0/0.
+    Both x-steps are this solve, in one fresh array: the classic one with
+    ``d = 1, p = mu``, the gamma one with ``d = gamma, p = 1``. ``A^H A``
+    is the mask in k-space: with ``k`` the centered FFT of ``Z - L``, each
+    sampled entry becomes ``(d b + p k) / (d + p)``, every other keeps
+    ``k``. ``p = 0`` is only defined on a full mask.
     """
     k = _centered_fft2(np.subtract(z.slices, l_prev.slices), np.fft.fft)
-    if prior_weight != 1.0:
-        k *= prior_weight
-    data = b.values if data_weight == 1.0 else data_weight * b.values
-    np.add.at(k.reshape(-1), spec._grid_index(), data)
-    np.divide(k, data_weight + prior_weight, out=k, where=spec.mask)
-    if prior_weight != 1.0:
-        np.divide(k, prior_weight, out=k, where=~spec.mask)
+    flat = k.reshape(-1)
+    sampled = spec._grid_index()
+    flat[sampled] = (d * b.values + p * flat[sampled]) / (d + p)
     return ComplexTensor3._wrap(_centered_fft2(k, np.fft.ifft))
 
 

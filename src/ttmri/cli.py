@@ -7,10 +7,10 @@ paths, seed, tool version, and wall time; outputs are deterministic given
 the manifest in sequential mode (``--threads 0``).
 
 Exit codes: 0 success; 2 usage or configuration error (including a
-negative ``--threads`` and non-finite numbers in a recon config); 3 data
-error (missing, malformed or undecodable files, mismatched inputs, other
-I/O failures); 4 numeric failure (divergence, non-unitary matrices, failed
-invariant checks).
+negative ``--threads`` or ``--seed`` and non-finite numbers in a recon
+config); 3 data error (missing, malformed or undecodable files, mismatched
+inputs, other I/O failures); 4 numeric failure (divergence, non-unitary
+matrices, failed invariant checks).
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ def _cmd_forward(args):
 def _cmd_recon(args):
     spec = _load_spec(args.mask)
     values, _ = fileio.load_kspace(_require_file(args.kspace, "k-space"))
-    b = mri.KSpaceVector(values, spec)
+    b = mri.KSpaceVector._wrap(values, spec)
     mode, seed, solver = _parse_recon_config(_require_file(args.config, "config"), spec.dims[2])
     report = solver(b, spec, threads=args.threads)
     fileio.save_tensor(args.out, report.reconstruction)

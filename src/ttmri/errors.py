@@ -30,13 +30,19 @@ def _check_real(name, value, positive=False, finite=True):
         raise ParameterError(f"{name} must be {rule}, got {value}")
 
 
-def _check_count(name, value, error=ParameterError) -> int:
-    """``value`` as an ``int``; ``error`` unless an integer (numpy's too) in [1, sys.maxsize]."""
+def _check_count(name, value, error=ParameterError, most=sys.maxsize) -> int:
+    """``value`` as an ``int``; ``error`` unless an integer (numpy's too) in [1, most]."""
     if not (isinstance(value, numbers.Integral) and value >= 1):
         raise error(f"{name} must be an integer >= 1, got {value!r}")
-    if value > sys.maxsize:
-        raise error(f"{name} must be at most {sys.maxsize}, got {value!r}")
+    if value > most:
+        raise error(f"{name} must be at most {most}, got {value!r}")
     return int(value)
+
+
+def _check_seed(value):
+    """ParameterError unless ``value`` is an integer (numpy's too) >= 0."""
+    if not (isinstance(value, numbers.Integral) and value >= 0):
+        raise ParameterError(f"seed must be an integer >= 0, got {value!r}")
 
 
 class UnitarityError(TtmriError, ValueError):

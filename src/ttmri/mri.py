@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, _check_count, _check_real
+from .errors import DimensionError, ParameterError, _check_count, _check_real, _check_seed
 from .tensor import ComplexTensor3
 from .transforms import UnitaryTransform, make_transform
 from .tsvd import t_product
@@ -165,7 +165,17 @@ class KSpaceVector:
     __slots__ = ("_values", "_spec")
 
     def __init__(self, values, spec: SamplingSpec):
-        vals = np.array(values, dtype=np.complex128).ravel()
+        self._own(np.array(values, dtype=np.complex128), spec)
+
+    @classmethod
+    def _wrap(cls, values: np.ndarray, spec: SamplingSpec) -> "KSpaceVector":
+        # Internal fast path: takes ownership of a freshly computed array.
+        obj = cls.__new__(cls)
+        obj._own(values, spec)
+        return obj
+
+    def _own(self, values: np.ndarray, spec: SamplingSpec):
+        vals = np.ascontiguousarray(values, dtype=np.complex128).ravel()
         if vals.size != spec.m:
             raise DimensionError(
                 f"value count {vals.size} does not match mask count {spec.m}"
@@ -192,17 +202,16 @@ class KSpaceVector:
 
 def _random_kspace(rng, spec: SamplingSpec) -> KSpaceVector:
     """Standard complex Gaussian values on the samples of ``spec``."""
-    return KSpaceVector(rng.standard_normal(spec.m) + 1j * rng.standard_normal(spec.m), spec)
+    return KSpaceVector._wrap(rng.standard_normal(spec.m) + 1j * rng.standard_normal(spec.m), spec)
 
 
 def forward(x: ComplexTensor3, spec: SamplingSpec) -> KSpaceVector:
     """Sample the per-frame Fourier transform of ``x`` at the mask locations."""
     if x.dims != spec.dims:
         raise DimensionError(f"image dims {x.dims} do not match mask dims {spec.dims}")
-    # The transformed stack is freed once gathered, before the values are
-    # copied into the vector.
-    values = spec.gather(spatial_fft(x).slices)
-    return KSpaceVector(values, spec)
+    # The transformed stack is freed once gathered; the vector owns the
+    # gathered values.
+    return KSpaceVector._wrap(spec.gather(spatial_fft(x).slices), spec)
 
 
 def adjoint(b: KSpaceVector) -> ComplexTensor3:
@@ -276,6 +285,7 @@ def gen_pseudo_radial_mask(
     """
     _check_sizes(nx, ny, nt)
     _check_count("lines", lines)
+    _check_seed(seed)
     if theta0 is not None and not math.isfinite(theta0):
         raise ParameterError(f"theta0 must be finite, got {theta0}")
     if lines > nx * ny:
@@ -312,6 +322,7 @@ def gen_vds_mask(nx: int, ny: int, nt: int, accel: float, seed: int) -> Sampling
     full sampling as ``accel`` approaches 1. The DC bin is always sampled.
     """
     _check_sizes(nx, ny, nt)
+    _check_seed(seed)
     if not (math.isfinite(accel) and accel > 1):
         raise ParameterError(f"acceleration factor must be finite and exceed 1, got {accel}")
     rng = np.random.default_rng(seed)
@@ -427,6 +438,7 @@ def make_phantom(
             f"unknown phantom kind {kind!r}; expected one of {PHANTOM_KINDS}"
         )
     _check_sizes(nx, ny, nt)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     if kind == "moving_ellipse":
         return _moving_ellipse(nx, ny, nt, rng)
@@ -438,8 +450,9 @@ def make_phantom(
 def add_noise(b: KSpaceVector, sigma: float, seed: int) -> KSpaceVector:
     """Add i.i.d. complex Gaussian noise with per-component std ``sigma``."""
     _check_real("noise level", sigma)
+    _check_seed(seed)
     if sigma == 0:
-        return KSpaceVector(b.values, b.spec)
+        return b
     rng = np.random.default_rng(seed)
     noise = sigma * (rng.standard_normal(b.m) + 1j * rng.standard_normal(b.m))
-    return KSpaceVector(b.values + noise, b.spec)
+    return KSpaceVector._wrap(b.values + noise, b.spec)

@@ -11,11 +11,13 @@ after a unitarity check.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, UnitarityError, _check_count, _check_real
+from .errors import DimensionError, ParameterError, UnitarityError
+from .errors import _check_count, _check_real, _check_seed
 from .tensor import ComplexTensor3
 
 __all__ = [
@@ -128,8 +130,8 @@ def make_transform(kind: str, n3: int, matrix=None) -> UnitaryTransform:
         Length of the mode-3 fibers the transform acts on.
     matrix : array_like, optional
         Required for ``kind="matrix"``: an ``n3 x n3`` unitary matrix.
-        Rejected with :class:`UnitarityError` if
-        ``||U^H U - I||_F > 1e-10 * n3``.
+        Rejected with :class:`UnitarityError` if an entry is not finite
+        or ``||U^H U - I||_F > 1e-10 * n3``.
     """
     if kind not in KINDS:
         raise ParameterError(f"unknown transform kind {kind!r}; expected one of {KINDS}")
@@ -143,8 +145,11 @@ def make_transform(kind: str, n3: int, matrix=None) -> UnitaryTransform:
     mat = np.array(matrix, dtype=np.complex128)
     if mat.shape != (n3, n3):
         raise DimensionError(f"matrix shape {mat.shape} does not match size {n3}")
+    # Checked first: numpy warns when the product below meets a NaN or inf.
+    if not np.isfinite(mat).all():
+        raise UnitarityError("matrix is not unitary", math.inf)
     deviation = float(np.linalg.norm(mat.conj().T @ mat - np.eye(n3)))
-    if deviation > MATRIX_UNITARITY_TOL * n3:
+    if not deviation <= MATRIX_UNITARITY_TOL * n3:
         raise UnitarityError("matrix is not unitary", deviation)
     mat.flags.writeable = False
     return UnitaryTransform("matrix", n3, mat)
@@ -162,7 +167,8 @@ class UnitarityReport:
 
     @property
     def max_deviation(self) -> float:
-        return max(self.norm_deviation, self.inner_deviation, self.roundtrip_deviation)
+        """The largest of the three deviations; NaN if any is NaN."""
+        return float(np.max([self.norm_deviation, self.inner_deviation, self.roundtrip_deviation]))
 
     @property
     def passed(self) -> bool:
@@ -180,8 +186,10 @@ def check_unitarity(
     """
     _check_count("trials", trials)
     _check_real("tol", tol)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     n3 = transform.size
+    # np.maximum keeps a NaN deviation, where max() may drop it.
     dev_norm = dev_inner = dev_round = 0.0
     for _ in range(trials):
         a = _random_tensor(rng, (4, 3, n3))
@@ -189,12 +197,12 @@ def check_unitarity(
         ah = transform.apply(a)
         bh = transform.apply(b)
         na = np.linalg.norm(a.slices)
-        dev_norm = max(dev_norm, abs(np.linalg.norm(ah.slices) - na) / na)
+        dev_norm = np.maximum(dev_norm, abs(np.linalg.norm(ah.slices) - na) / na)
         ip = np.vdot(a.slices, b.slices)
         ip_hat = np.vdot(ah.slices, bh.slices)
-        dev_inner = max(dev_inner, abs(ip_hat - ip) / max(abs(ip), 1e-300))
+        dev_inner = np.maximum(dev_inner, abs(ip_hat - ip) / max(abs(ip), 1e-300))
         back = transform.apply_adjoint(ah)
-        dev_round = max(dev_round, np.linalg.norm(back.slices - a.slices) / na)
+        dev_round = np.maximum(dev_round, np.linalg.norm(back.slices - a.slices) / na)
     return UnitarityReport(dev_norm, dev_inner, dev_round, int(trials), float(tol))
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from ttmri import admm
 from ttmri import (
     AdmmConfig,
     ComplexTensor3,
@@ -195,7 +196,8 @@ class TestXUpdateGamma:
 class TestDataConsistencyLayout:
     # Both x-steps against the out-of-place formulas they replace, written
     # here with the fft2 oracle and the transposed-raster scatter. The
-    # arithmetic is the same, so the results must be equal.
+    # arithmetic is the same, so the results must be equal. An unsampled
+    # entry keeps its transformed value k exactly, not (mu k) / mu.
 
     @pytest.mark.parametrize("dims", LAYOUT_DIMS)
     def test_x_steps_match_old_formulas(self, dims):
@@ -206,17 +208,62 @@ class TestDataConsistencyLayout:
             spec = SamplingSpec(mask)
             b = random_kspace(rng, spec)
             scattered = scatter_oracle(mask, b.values)
+            k = centered_fft2_oracle(diff)
             for mu in (0.3, 1.0) + ((0.0,) if name == "full" else ()):
-                numer = centered_fft2_oracle(diff) * mu + scattered
-                expected = centered_fft2_oracle(numer / (mask + mu), inverse=True)
+                numer = k * mu + scattered
+                expected = np.where(mask, numer / (mask + mu), k)
+                expected = centered_fft2_oracle(expected, inverse=True)
                 x = x_update_cartesian(z, l, b, spec, mu)
                 assert np.array_equal(x.slices, expected), (name, mu)
             for gamma in (0.5, 1.0, 4.0):
-                numer = centered_fft2_oracle(diff) + gamma * scattered
+                numer = k + gamma * scattered
                 expected = centered_fft2_oracle(numer / (gamma * mask + 1.0), inverse=True)
                 x = x_update_gamma(z, l, b, spec, gamma)
                 assert np.array_equal(x.slices, expected), (name, gamma)
             assert np.array_equal(z.slices - l.slices, diff)
+
+
+_FFT4 = make_transform("fft", 4)
+_MASK_ENTRY_POINTS = {
+    "solve": lambda b, spec, z: solve(
+        b, spec, AdmmConfig(lam=0.05, mu=0.5, transform=_FFT4, max_iters=20)
+    ),
+    "solve_generalized": lambda b, spec, z: solve_generalized(
+        b, spec, [IterationParams(gamma=2.0, eta=1.0, tau=0.1)] * 20, _FFT4
+    ),
+    "x_update_gamma": lambda b, spec, z: x_update_gamma(z, z, b, spec, 2.0),
+    "x_update_cartesian": lambda b, spec, z: x_update_cartesian(z, z, b, spec, 0.5),
+}
+
+
+class TestSamplingSpecMatch:
+    # The data of b sit at the entries of b's own mask, so the spec passed
+    # beside b must hold that mask, not only as many samples.
+
+    def _setup(self):
+        spec = gen_vds_mask(16, 16, 4, accel=3.0, seed=1)
+        b = forward(make_phantom(16, 16, 4, "moving_ellipse", seed=1), spec)
+        return spec, b, ComplexTensor3.zeros(spec.dims)
+
+    @pytest.mark.parametrize("entry", list(_MASK_ENTRY_POINTS))
+    def test_mirrored_mask_rejected_before_any_x_step(self, monkeypatch, x_step_calls, entry):
+        spec, b, z = self._setup()
+        mirrored = SamplingSpec(np.flip(spec.mask, axis=1).copy())
+        assert (mirrored.m, mirrored.dims) == (spec.m, spec.dims)
+        assert not np.array_equal(mirrored.mask, spec.mask)
+        monkeypatch.setattr(admm, "_data_consistency", lambda *args: x_step_calls.append(1))
+        with pytest.raises(DimensionError, match="inconsistent with the sampling spec"):
+            _MASK_ENTRY_POINTS[entry](b, mirrored, z)
+        assert x_step_calls == []
+
+    @pytest.mark.parametrize("entry", list(_MASK_ENTRY_POINTS))
+    def test_equal_mask_in_another_spec_accepted(self, entry):
+        spec, b, z = self._setup()
+        same = _MASK_ENTRY_POINTS[entry](b, spec, z)
+        other = _MASK_ENTRY_POINTS[entry](b, SamplingSpec(spec.mask.copy()), z)
+        if entry.startswith("solve"):
+            same, other = same.reconstruction, other.reconstruction
+        assert np.array_equal(other.slices, same.slices)
 
 
 class TestInPlaceAliasing:
@@ -453,6 +500,9 @@ class TestSolve:
             AdmmConfig(lam=1.0, mu=1.0, transform=t, max_iters=0)
         with pytest.raises(ParameterError, match="max_iters must be at most"):
             AdmmConfig(lam=1.0, mu=1.0, transform=t, max_iters=2**70)
+        with pytest.raises(ParameterError, match=f"max_iters must be at most {admm.MAX_ITERS}"):
+            AdmmConfig(lam=1.0, mu=1.0, transform=t, max_iters=10**12)
+        AdmmConfig(lam=1.0, mu=1.0, transform=t, max_iters=admm.MAX_ITERS)
 
 
 class TestSolveGeneralized:

@@ -31,7 +31,7 @@ from ttmri import (
 )
 from ttmri import cli, tsvd
 from ttmri.cli import ConfigError, main
-from ttmri.fileio import load_kspace, load_mask, load_tensor, save_tensor
+from ttmri.fileio import load_kspace, load_mask, load_tensor, save_tensor, save_transform_matrix
 
 from conftest import rand_tensor
 
@@ -196,6 +196,17 @@ class TestReconCommand:
         assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
                    "--out", tmp_path / "r.t2t") == 3
 
+    def test_mask_of_another_count_is_data_error(self, pipeline, capsys):
+        tmp_path, _, _, kspace = pipeline
+        other = tmp_path / "other.t2t"
+        assert run("mask", "--pattern", "radial", "--lines", 2, "--nx", 16, "--ny", 16,
+                   "--nt", 4, "--seed", 1, "--out", other) == 0
+        cfg = write_config(tmp_path / "cfg.json")
+        assert run("recon", "--kspace", kspace, "--mask", other, "--config", cfg,
+                   "--out", tmp_path / "r.t2t") == 3
+        assert "does not match mask count" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r.t2t*"))
+
     def test_integer_beyond_the_digit_limit_is_data_error(self, pipeline, capsys):
         # Python's JSON reader refuses integers of more than 4300 digits.
         tmp_path, _, mask, kspace = pipeline
@@ -259,6 +270,17 @@ class TestTsvdCommand:
         save_tensor(path, ComplexTensor3.zeros((3, 3, 3)))
         assert run("tsvd", "--tensor", path, "--transform", "matrix",
                    "--out", tmp_path / "fac") == 2
+
+    def test_non_finite_matrix_is_numeric_error(self, tmp_path, capsys):
+        path, matrix = tmp_path / "x.t2t", tmp_path / "nan.t2t"
+        save_tensor(path, ComplexTensor3.zeros((3, 3, 3)))
+        bad = np.eye(3, dtype=complex)
+        bad[0, 2] = np.nan
+        save_transform_matrix(matrix, bad)
+        assert run("tsvd", "--tensor", path, "--transform", "matrix",
+                   "--matrix-path", matrix, "--out", tmp_path / "fac") == 4
+        assert "not unitary" in capsys.readouterr().err
+        assert not list(tmp_path.glob("fac*"))
 
 
 class TestMetricsCommand:
@@ -339,6 +361,8 @@ _GENERATOR_ARGV = {
     ("vds", "--accel", "nan"), ("vds", "--accel", "inf"),
     ("radial", "--theta0", "nan"), ("radial", "--theta0", "inf"),
     ("forward", "--sigma", "nan"), ("forward", "--sigma", "inf"),
+    ("phantom", "--seed", -1), ("radial", "--seed", -1), ("vds", "--seed", -1),
+    ("forward", "--seed", -1),
 ])
 def test_bad_generator_flag_is_usage_error(pipeline, command, flag, value):
     tmp_path, phantom, mask, _ = pipeline
@@ -389,7 +413,8 @@ _HUGE = int("1" + "0" * 400)
     ({"mode": "generalized", "schedule": [{"gamma": 1.0, "eta": 1.0, "a": [0, _HUGE, 0, 0]}]},
      "config key 'schedule[0].a' must be finite"),
     ({"max_iters": _HUGE}, "config: max_iters must be at most"),
-], ids=["lambda", "tau", "a", "max_iters"])
+    ({"max_iters": 10**12}, "config: max_iters must be at most"),
+], ids=["lambda", "tau", "a", "max_iters", "max_iters-beyond-bound"])
 def test_number_beyond_the_solver_is_usage_error(pipeline, capsys, x_step_calls,
                                                  overrides, message):
     # JSON holds these numbers but no float or list size can: the config is

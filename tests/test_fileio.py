@@ -219,6 +219,25 @@ class TestKSpaceFormat:
         assert np.array_equal(values, b.values)
         assert peak[0] <= 1.2 * b.values.nbytes
 
+    def test_loaded_vector_owns_the_values(self, tmp_path):
+        # As in ``ttmri recon``: the vector takes the loaded array, no copy.
+        spec = SamplingSpec(np.ones((16, 128, 128), dtype=bool))
+        b = random_kspace(np.random.default_rng(5), spec)
+        path = tmp_path / "b.t2k"
+        save_kspace(path, b)
+        with traced_peak() as peak:
+            loaded = KSpaceVector._wrap(load_kspace(path)[0], spec)
+        assert np.array_equal(loaded.values, b.values)
+        assert not loaded.values.flags.writeable
+        assert peak[0] <= 1.2 * b.values.nbytes
+
+    def test_caller_values_are_copied(self):
+        spec = SamplingSpec(np.ones((1, 2, 2), dtype=bool))
+        values = np.arange(4, dtype=complex)
+        b = KSpaceVector(values, spec)
+        values[0] = 7.0
+        assert b.values[0] == 0.0
+
     def test_values_in_raster_order(self, tmp_path):
         rng = np.random.default_rng(4)
         spec = SamplingSpec(rng.random((2, 4, 3)) < 0.6)

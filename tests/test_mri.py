@@ -11,6 +11,7 @@ from ttmri import (
     SamplingSpec,
     add_noise,
     adjoint,
+    check_unitarity,
     dc_index,
     forward,
     frobenius_norm,
@@ -337,23 +338,33 @@ class TestPhantoms:
             make_phantom(8, 8, 2, "low_tubal_rank", seed=0, rank=9)
 
 
-_NON_INTEGER_SIZES = {
-    "phantom-nx-float": lambda: make_phantom(8.5, 8, 2, "moving_ellipse", seed=0),
-    "phantom-ny-string": lambda: make_phantom(8, "8", 2, "rotating_bars", seed=0),
-    "phantom-rank-float": lambda: make_phantom(8, 8, 2, "low_tubal_rank", seed=0, rank=1.5),
-    "radial-nx-whole-float": lambda: gen_pseudo_radial_mask(8.0, 8, 2, 2, 1),
-    "radial-lines-float": lambda: gen_pseudo_radial_mask(8, 8, 2, 2.5, 1),
-    "vds-nt-whole-float": lambda: gen_vds_mask(8, 8, 2.0, 4.0, 1),
-    "vds-ny-string": lambda: gen_vds_mask(8, "8", 2, 4.0, 1),
+_ZERO_KSPACE = KSpaceVector(np.zeros(4), SamplingSpec(np.ones((1, 2, 2), dtype=bool)))
+_BAD_INTEGERS = {  # case: (least allowed value, call)
+    "phantom-nx-float": (1, lambda: make_phantom(8.5, 8, 2, "moving_ellipse", seed=0)),
+    "phantom-ny-string": (1, lambda: make_phantom(8, "8", 2, "rotating_bars", seed=0)),
+    "phantom-rank-float": (1, lambda: make_phantom(8, 8, 2, "low_tubal_rank", seed=0, rank=1.5)),
+    "radial-nx-whole-float": (1, lambda: gen_pseudo_radial_mask(8.0, 8, 2, 2, 1)),
+    "radial-lines-float": (1, lambda: gen_pseudo_radial_mask(8, 8, 2, 2.5, 1)),
+    "vds-nt-whole-float": (1, lambda: gen_vds_mask(8, 8, 2.0, 4.0, 1)),
+    "vds-ny-string": (1, lambda: gen_vds_mask(8, "8", 2, 4.0, 1)),
+    "phantom-seed-negative": (0, lambda: make_phantom(8, 8, 2, "moving_ellipse", seed=-1)),
+    "phantom-seed-float": (0, lambda: make_phantom(8, 8, 2, "moving_ellipse", seed=1.5)),
+    "radial-seed-negative": (0, lambda: gen_pseudo_radial_mask(8, 8, 2, 2, -1)),
+    "vds-seed-float": (0, lambda: gen_vds_mask(8, 8, 2, 4.0, 1.5)),
+    "noise-seed-negative": (0, lambda: add_noise(_ZERO_KSPACE, 1.0, seed=-1)),
+    "zero-noise-seed-negative": (0, lambda: add_noise(_ZERO_KSPACE, 0.0, seed=np.int64(-1))),
+    "unitarity-seed-float": (0, lambda: check_unitarity(make_transform("fft", 2), seed=1.5)),
 }
 
 
-@pytest.mark.parametrize("case", list(_NON_INTEGER_SIZES))
+@pytest.mark.parametrize("case", list(_BAD_INTEGERS))
 def test_non_integer_size_rejected(case):
-    # Sizes, spoke counts and ranks are integers >= 1; a float or a string
-    # is a ParameterError, not a TypeError from deep inside numpy.
-    with pytest.raises(ParameterError, match="must be an integer >= 1"):
-        _NON_INTEGER_SIZES[case]()
+    # Sizes, spoke counts and ranks are integers >= 1 and seeds integers
+    # >= 0; a float, a string or a smaller integer is a ParameterError, not
+    # a ValueError or TypeError from deep inside numpy.
+    least, call = _BAD_INTEGERS[case]
+    with pytest.raises(ParameterError, match=f"must be an integer >= {least}"):
+        call()
 
 
 class TestNoise:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from ttmri import (
     DimensionError,
     ParameterError,
     UnitarityError,
+    UnitaryTransform,
     check_unitarity,
     frobenius_norm,
     inner_product,
@@ -157,6 +160,24 @@ class TestMakeTransform:
             make_transform("matrix", 3, bad)
         # ||U^H U - I||_F = ||diag(3, 0, 0)||_F = 3 for this matrix.
         assert excinfo.value.deviation == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)],
+                             ids=["nan", "inf", "minus-inf", "imag-nan"])
+    def test_non_finite_matrix_rejected(self, entry):
+        # Rejected before any arithmetic, so numpy warns of nothing either.
+        bad = np.eye(4, dtype=complex)
+        bad[1, 2] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(UnitarityError, match="matrix is not unitary"):
+                make_transform("matrix", 4, bad)
+
+    def test_nan_deviation_fails_the_probe(self):
+        bad = np.eye(4, dtype=complex)
+        bad[1, 2] = np.nan
+        report = check_unitarity(UnitaryTransform("matrix", 4, bad), trials=3)
+        assert np.isnan(report.max_deviation)
+        assert not report.passed
 
     def test_random_unitary_accepted(self):
         rng = np.random.default_rng(10)
