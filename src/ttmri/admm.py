@@ -10,6 +10,12 @@ slice's largest singular value through a sigmoid weight), a data weight
 ``gamma`` replacing ``1/mu`` so that ``gamma = 0`` stays well defined,
 and optionally a different unitary transform per iteration. Classic mode
 is its constant schedule, bit for bit.
+
+The solver iterates in k-space, where the shrinkage and the nuclear norm
+are unchanged (the per-frame centred 2D DFT is unitary and commutes with
+every mode-3 transform) and the data-consistency step touches only the
+sampled entries. Off the mask it gives ``X = Z - L``, so the multiplier
+lives on the sampled entries alone; one inverse DFT ends the solve.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceError, NumericError, ParameterError
 from .errors import _check_count, _check_real
-from .mri import KSpaceVector, SamplingSpec, _centered_fft2, adjoint, forward
-from .tensor import ComplexTensor3, frobenius_norm
+from .mri import KSpaceVector, SamplingSpec, _centered_fft2
+from .tensor import ComplexTensor3
 from .transforms import UnitaryTransform
 from .tsvd import _per_slice, _shrink, _threshold_vector, _transformed_stack, t_tsvt, ttnn
 from .tsvd import transformed_singular_values
@@ -132,7 +138,6 @@ def z_update(
 
 
 def _check_kspace(b: KSpaceVector, spec: SamplingSpec, *tensors: ComplexTensor3):
-    # Identity first, so the check inside the solver loop costs nothing.
     if spec is not b.spec and not np.array_equal(spec.mask, b.spec.mask):
         raise DimensionError("k-space vector is inconsistent with the sampling spec")
     if any(t.dims != spec.dims for t in tensors):
@@ -191,14 +196,19 @@ def _data_consistency(
     Both x-steps are this solve, in one fresh array: the classic one with
     ``d = 1, p = mu``, the gamma one with ``d = gamma, p = 1``. ``A^H A``
     is the mask in k-space: with ``k`` the centered FFT of ``Z - L``, each
-    sampled entry becomes ``(d b + p k) / (d + p)``, every other keeps
+    sampled entry becomes :func:`_sampled_x` of it, every other keeps
     ``k``. ``p = 0`` is only defined on a full mask.
     """
     k = _centered_fft2(np.subtract(z.slices, l_prev.slices), np.fft.fft)
     flat = k.reshape(-1)
     sampled = spec._grid_index()
-    flat[sampled] = (d * b.values + p * flat[sampled]) / (d + p)
+    flat[sampled] = _sampled_x(flat[sampled], b.values, d, p)
     return ComplexTensor3._wrap(_centered_fft2(k, np.fft.ifft))
+
+
+def _sampled_x(k: np.ndarray, b: np.ndarray, d: float, p: float) -> np.ndarray:
+    """The x-step ``(d b + p k) / (d + p)`` at the k-space samples ``k`` of ``Z - L``."""
+    return (d * b + p * k) / (d + p)
 
 
 def l_update(
@@ -242,45 +252,25 @@ def relative_thresholds(
 
 
 def _relative_shrink(
-    x: ComplexTensor3, l: ComplexTensor3, a, transform: UnitaryTransform, threads: int
+    y: ComplexTensor3, a, transform: UnitaryTransform, threads: int
 ) -> ComplexTensor3:
-    """``t_tsvt(y, relative_thresholds(y, a, transform), transform)`` at ``y = x + l``.
+    """``t_tsvt(y, relative_thresholds(y, a, transform), transform)``.
 
     Each slice's threshold comes from the SVD that shrinks it, so every
-    slice is decomposed once. ``y`` is freed once transformed.
+    slice is decomposed once.
     """
-    weights = _relative_weights(a, x.dims[2])
-    yhat = _transformed_stack(x + l, transform)
+    weights = _relative_weights(a, y.dims[2])
+    yhat = _transformed_stack(y, transform)
     return _shrink(yhat, transform, threads, lambda k, s: weights[k] * s[0])
 
 
-def _relative_change(x_new: ComplexTensor3, x_old: ComplexTensor3) -> float:
-    denom = float(np.linalg.norm(x_old.slices))
+def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
+    denom = float(np.linalg.norm(old))
     # Frame by frame, so the difference takes one frame of memory.
-    delta = math.hypot(*(
-        np.linalg.norm(new - old) for new, old in zip(x_new.slices, x_old.slices)
-    ))
+    delta = math.hypot(*(np.linalg.norm(a - b) for a, b in zip(new, old)))
     if denom == 0.0:
         return 0.0 if delta == 0.0 else np.inf
     return delta / denom
-
-
-def _iteration_stats(
-    n: int,
-    x: ComplexTensor3,
-    z: ComplexTensor3,
-    b: KSpaceVector,
-    spec: SamplingSpec,
-    transform: UnitaryTransform,
-    lam: float,
-    elapsed_ms: float,
-) -> IterationStats:
-    residual = forward(x, spec).values - b.values
-    fidelity = 0.5 * float(np.linalg.norm(residual) ** 2)
-    nuclear = ttnn(x, transform)
-    objective = fidelity + lam * nuclear
-    primal = frobenius_norm(z - x)
-    return IterationStats(n, objective, fidelity, nuclear, primal, elapsed_ms)
 
 
 def solve(
@@ -353,33 +343,42 @@ def solve_generalized(
             params._thresholds(nt)
         except (DimensionError, ParameterError) as exc:
             raise type(exc)(f"iteration {n} {exc}") from exc
-    x = adjoint(b)
-    l = ComplexTensor3.zeros(spec.dims)
+    # grid is X in k-space between iterations; L is zero off the samples l_s.
+    index = spec._grid_index()
+    x_s, l_s = b.values, np.zeros(spec.m, dtype=np.complex128)
+    grid = spec.scatter(b.values)
     history: list[IterationStats] = []
     for n, params in enumerate(schedule, start=1):
         transform = params.transform or init_transform
         tic = time.perf_counter()
-        # Each iterate is released as soon as it is spent (the previous
-        # z before the shrinkage, y = x + l once shrunk, the previous x
-        # before the multiplier update), to keep peak memory down.
-        z = None
+        grid.reshape(-1)[index] = x_s + l_s  # grid is Y = X + L
+        y = ComplexTensor3._wrap(grid.view())
         if params.tau is not None:
-            z = t_tsvt(x + l, params.tau, transform, threads=threads)
+            z = t_tsvt(y, params.tau, transform, threads=threads).slices
         else:
-            z = _relative_shrink(x, l, params.a, transform, threads)
-        x_new = x_update_gamma(z, l, b, spec, params.gamma)
-        rel = _relative_change(x_new, x)
-        x = x_new
-        l = l_update(l, z, x, params.eta)
+            z = _relative_shrink(y, params.a, transform, threads).slices
+        del y  # y views grid: let grid go once it is spent
+        z.flags.writeable = True  # a fresh array that the loop alone holds
+        z_s = z.reshape(-1)[index]
+        grid.reshape(-1)[index] = x_s  # grid is X_old
+        x_s = _sampled_x(z_s - l_s, b.values, params.gamma, 1.0)
+        z.reshape(-1)[index] = x_s  # z is X_new
+        rel = _relative_change(z, grid)
+        grid = z
+        l_s = l_s - params.eta * (z_s - x_s)
         elapsed_ms = (time.perf_counter() - tic) * 1e3
-        if not all(np.isfinite(t.slices).all() for t in (x, z, l)):
+        if not all(np.isfinite(v).all() for v in (grid, z_s, x_s, l_s)):
             raise DivergenceError(f"non-finite iterate at iteration {n}", iteration=n)
         if record_history:
-            stats = _iteration_stats(n, x, z, b, spec, transform, report_lambda, elapsed_ms)
-            if not np.isfinite(stats.objective):
+            fidelity = 0.5 * float(np.linalg.norm(x_s - b.values) ** 2)
+            nuclear = ttnn(ComplexTensor3._wrap(grid.view()), transform)
+            objective = fidelity + report_lambda * nuclear
+            if not np.isfinite(objective):
                 raise DivergenceError(f"non-finite objective at iteration {n}", iteration=n)
-            history.append(stats)
+            # Z - X is zero off the mask, so the primal residual is ||Z_S - X_S||.
+            primal = float(np.linalg.norm(z_s - x_s))
+            history.append(IterationStats(n, objective, fidelity, nuclear, primal, elapsed_ms))
         if rel < rel_tol:
             break
     # The schedule is nonempty, so n is the last iteration run.
-    return ReconReport(x, n, history)
+    return ReconReport(ComplexTensor3._wrap(_centered_fft2(grid, np.fft.ifft)), n, history)

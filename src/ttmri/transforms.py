@@ -130,8 +130,9 @@ def make_transform(kind: str, n3: int, matrix=None) -> UnitaryTransform:
         Length of the mode-3 fibers the transform acts on.
     matrix : array_like, optional
         Required for ``kind="matrix"``: an ``n3 x n3`` unitary matrix.
-        Rejected with :class:`UnitarityError` if an entry is not finite
-        or ``||U^H U - I||_F > 1e-10 * n3``.
+        Rejected with :class:`UnitarityError` if an entry is not finite,
+        an entry exceeds ``1 + 1e-10 * n3`` in modulus, or
+        ``||U^H U - I||_F > 1e-10 * n3``.
     """
     if kind not in KINDS:
         raise ParameterError(f"unknown transform kind {kind!r}; expected one of {KINDS}")
@@ -148,6 +149,12 @@ def make_transform(kind: str, n3: int, matrix=None) -> UnitaryTransform:
     # Checked first: numpy warns when the product below meets a NaN or inf.
     if not np.isfinite(mat).all():
         raise UnitarityError("matrix is not unitary", math.inf)
+    # Within the bound every column's squared length is at most 1 + tol, so
+    # no larger entry passes, and the product below cannot overflow. The
+    # deviation reported is its lower bound |m_ij|^2 - 1.
+    largest = float(np.abs(mat).max())
+    if largest > 1 + MATRIX_UNITARITY_TOL * n3:
+        raise UnitarityError("matrix is not unitary", largest * largest - 1)
     deviation = float(np.linalg.norm(mat.conj().T @ mat - np.eye(n3)))
     if not deviation <= MATRIX_UNITARITY_TOL * n3:
         raise UnitarityError("matrix is not unitary", deviation)
@@ -182,7 +189,8 @@ def check_unitarity(
 
     Runs ``trials`` random tensors through the transform and reports the
     worst relative deviation of the Frobenius norm, the inner product, and
-    the apply/adjoint round trip.
+    the apply/adjoint round trip. A transform that makes a value NaN or
+    infinite reports that deviation, without a numpy warning, and fails.
     """
     _check_count("trials", trials)
     _check_real("tol", tol)
@@ -191,18 +199,19 @@ def check_unitarity(
     n3 = transform.size
     # np.maximum keeps a NaN deviation, where max() may drop it.
     dev_norm = dev_inner = dev_round = 0.0
-    for _ in range(trials):
-        a = _random_tensor(rng, (4, 3, n3))
-        b = _random_tensor(rng, (4, 3, n3))
-        ah = transform.apply(a)
-        bh = transform.apply(b)
-        na = np.linalg.norm(a.slices)
-        dev_norm = np.maximum(dev_norm, abs(np.linalg.norm(ah.slices) - na) / na)
-        ip = np.vdot(a.slices, b.slices)
-        ip_hat = np.vdot(ah.slices, bh.slices)
-        dev_inner = np.maximum(dev_inner, abs(ip_hat - ip) / max(abs(ip), 1e-300))
-        back = transform.apply_adjoint(ah)
-        dev_round = np.maximum(dev_round, np.linalg.norm(back.slices - a.slices) / na)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(trials):
+            a = _random_tensor(rng, (4, 3, n3))
+            b = _random_tensor(rng, (4, 3, n3))
+            ah = transform.apply(a)
+            bh = transform.apply(b)
+            na = np.linalg.norm(a.slices)
+            dev_norm = np.maximum(dev_norm, abs(np.linalg.norm(ah.slices) - na) / na)
+            ip = np.vdot(a.slices, b.slices)
+            ip_hat = np.vdot(ah.slices, bh.slices)
+            dev_inner = np.maximum(dev_inner, abs(ip_hat - ip) / max(abs(ip), 1e-300))
+            back = transform.apply_adjoint(ah)
+            dev_round = np.maximum(dev_round, np.linalg.norm(back.slices - a.slices) / na)
     return UnitarityReport(dev_norm, dev_inner, dev_round, int(trials), float(tol))
 
 

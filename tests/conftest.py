@@ -27,12 +27,14 @@ from ttmri.transforms import _random_unitary as random_unitary
 
 @pytest.fixture
 def x_step_calls(monkeypatch):
-    """A list that gains one entry per call of the solvers' x-step, ``admm.x_update_gamma``."""
+    """A list that gains one entry per x-step, of the solvers or the public steps.
+
+    Every x-step goes through one formula on the sampled entries,
+    ``admm._sampled_x``, which is what this counts.
+    """
     calls = []
-    x_update_gamma = admm.x_update_gamma
-    monkeypatch.setattr(
-        admm, "x_update_gamma", lambda *args: calls.append(1) or x_update_gamma(*args)
-    )
+    sampled_x = admm._sampled_x
+    monkeypatch.setattr(admm, "_sampled_x", lambda *args: calls.append(1) or sampled_x(*args))
     return calls
 
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -171,6 +172,29 @@ class TestMakeTransform:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(UnitarityError, match="matrix is not unitary"):
                 make_transform("matrix", 4, bad)
+
+    def test_huge_entries_rejected_without_overflow(self):
+        # U^H U of this matrix overflows; the entry bound rejects it first.
+        bad = 1e200 * np.eye(4)
+        bad[0, 1] = -1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(UnitarityError, match="matrix is not unitary") as excinfo:
+                make_transform("matrix", 4, bad)
+        assert excinfo.value.deviation == math.inf
+
+    def test_unit_modulus_entries_accepted(self):
+        # Entries of modulus 1 sit at the entry bound and stay accepted.
+        perm = np.eye(5)[[2, 0, 4, 1, 3]] * np.exp(0.3j)
+        assert np.array_equal(make_transform("matrix", 5, perm).matrix, perm)
+
+    def test_infinite_entry_fails_the_probe_without_warning(self):
+        bad = np.eye(4, dtype=complex)
+        bad[1, 2] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = check_unitarity(UnitaryTransform("matrix", 4, bad), trials=3)
+        assert not report.passed
 
     def test_nan_deviation_fails_the_probe(self):
         bad = np.eye(4, dtype=complex)
