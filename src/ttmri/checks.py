@@ -4,6 +4,10 @@ Each check probes one contract of the library with randomized trials at a
 fixed seed and reports the worst deviation it saw. ``level="quick"`` runs
 reduced trial counts and sizes; ``level="full"`` runs the complete suite
 including a small end-to-end recovery experiment.
+
+Six contracts have one ``_probe_*`` function each, which returns worst
+deviations, not a verdict. The checks and the acceptance criteria in
+``tests/test_acceptance.py`` call the same probes at their own seeds, sizes and bounds.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import admm, mri, tsvd
+from .errors import ParameterError
 from .tensor import ComplexTensor3, bdiag, fold, frobenius_norm, inner_product
 from .transforms import KINDS, _random_tensor, _random_transform, check_unitarity, make_transform
 
@@ -89,23 +94,33 @@ def _check_dct_real(level):
     return ok, f"dct imag {worst:.3e}, fft(n3=1) identity dev {ident:.3e}"
 
 
+def _random_cases(rng, trials, sizes):
+    """``trials`` pairs of a transform of kind ``KINDS[trial % 4]`` and a tensor.
+
+    Each draws its dims from the half-open ranges in ``sizes``, then the pair.
+    """
+    for trial in range(trials):
+        dims = tuple(int(rng.integers(low, high)) for low, high in sizes)
+        yield _random_transform(rng, KINDS[trial % len(KINDS)], dims[2]), _random_tensor(rng, dims)
+
+
+def _probe_tsvd(rng, trials, sizes):
+    """Worst relative error of ``U * S * V^H``, and whether every U and V was unitary."""
+    worst, unitary = 0.0, True
+    for t, x in _random_cases(rng, trials, sizes):
+        fac = tsvd.tt_svd(x, t)
+        vh = tsvd.tensor_hermitian_transpose(fac.V, t)
+        rec = tsvd.t_product(fac.U, tsvd.t_product(fac.S, vh, t), t)
+        worst = max(worst, frobenius_norm(rec - x) / frobenius_norm(x))
+        unitary = unitary and all(tsvd.is_unitary_tensor(q, t) for q in (fac.U, fac.V))
+    return worst, unitary
+
+
 def _check_tsvd_exactness(level):
-    rng = np.random.default_rng(14)
-    trials = 4 if level == "quick" else 12
-    worst = 0.0
-    for _ in range(trials):
-        n3 = int(rng.integers(1, 7))
-        dims = (int(rng.integers(2, 9)), int(rng.integers(2, 9)), n3)
-        for t in _transform_set(n3, rng):
-            x = _random_tensor(rng, dims)
-            fac = tsvd.tt_svd(x, t)
-            vh = tsvd.tensor_hermitian_transpose(fac.V, t)
-            rec = tsvd.t_product(fac.U, tsvd.t_product(fac.S, vh, t), t)
-            worst = max(worst, frobenius_norm(rec - x) / frobenius_norm(x))
-            if not tsvd.is_unitary_tensor(fac.U, t, tol=1e-10):
-                return False, "U factor not unitary"
-            if not tsvd.is_unitary_tensor(fac.V, t, tol=1e-10):
-                return False, "V factor not unitary"
+    rng, trials = np.random.default_rng(14), 20 if level == "quick" else 60
+    worst, unitary = _probe_tsvd(rng, trials, ((2, 9), (2, 9), (1, 7)))
+    if not unitary:
+        return False, "a U or V factor is not unitary"
     return worst <= 1e-10, f"max relative reconstruction error {worst:.3e}"
 
 
@@ -126,34 +141,35 @@ def _check_ttnn_matrix_invariance(level):
     return worst <= 1e-10, f"max relative norm difference {worst:.3e}"
 
 
-def _check_duality(level):
-    rng = np.random.default_rng(16)
-    trials = 5 if level == "quick" else 25
-    worst_gap = -np.inf
-    worst_att = 0.0
-    for _ in range(trials):
-        n3 = int(rng.integers(1, 6))
-        dims = (int(rng.integers(2, 8)), int(rng.integers(2, 8)), n3)
-        t = make_transform("fft", n3)
-        x = _random_tensor(rng, dims)
-        nuclear = tsvd.ttnn(x, t)
-        # Random feasible direction for the sandwich side.
-        a = _random_tensor(rng, dims)
-        a = a / max(tsvd.transformed_spectral_norm(a, t), 1e-30)
-        gap = inner_product(x, a).real - nuclear
-        worst_gap = max(worst_gap, gap)
-        # The factor-built witness attains the norm (economy factors so the
-        # product is well-formed for rectangular slices).
+def _probe_duality(rng, trials, sizes):
+    """Worst spectral norm and attainment deviation of the witness W, and worst sandwich gap.
+
+    ``W = U_r * V_r^H`` from X's economy factors has spectral norm 1 and
+    ``<X, W> = ||X||_*``; the gap ``<X, A> - ||X||_*`` at ``A = X / ||X||_spec`` is <= 0.
+    """
+    spectral = attain = 0.0
+    gap = -np.inf
+    for t, x in _random_cases(rng, trials, sizes):
         fac = tsvd.tt_svd(x, t)
-        r = min(dims[0], dims[1])
+        r = min(x.dims[0], x.dims[1])
         u_r = ComplexTensor3(fac.U.slices[:, :, :r])
         v_r = ComplexTensor3(fac.V.slices[:, :, :r])
         witness = tsvd.t_product(u_r, tsvd.tensor_hermitian_transpose(v_r, t), t)
-        if tsvd.transformed_spectral_norm(witness, t) > 1 + 1e-9:
-            return False, "witness spectral norm exceeds 1"
-        worst_att = max(worst_att, abs(inner_product(x, witness).real - nuclear) / nuclear)
-    ok = worst_gap <= 1e-9 and worst_att <= 1e-9
-    return ok, f"max sandwich gap {worst_gap:.3e}, attainment deviation {worst_att:.3e}"
+        spectral = max(spectral, tsvd.transformed_spectral_norm(witness, t))
+        nuclear = tsvd.ttnn(x, t)
+        attain = max(attain, abs(inner_product(x, witness).real - nuclear) / nuclear)
+        sandwich = inner_product(x, x).real / tsvd.transformed_spectral_norm(x, t)
+        gap = max(gap, sandwich - nuclear)
+    return spectral, attain, gap
+
+
+def _check_duality(level):
+    rng, trials = np.random.default_rng(16), 5 if level == "quick" else 25
+    spectral, attain, gap = _probe_duality(rng, trials, ((2, 8), (2, 8), (1, 6)))
+    if spectral > 1 + 1e-9:
+        return False, f"witness spectral norm {spectral:.12f} exceeds 1"
+    ok = gap <= 1e-9 and attain <= 1e-9
+    return ok, f"max sandwich gap {gap:.3e}, attainment deviation {attain:.3e}"
 
 
 def _check_prox(level):
@@ -194,29 +210,32 @@ def _check_sum_rank_construction(level):
     return True, "low-rank products respect the rank bound"
 
 
-def _check_forward_adjoint(level):
-    rng = np.random.default_rng(19)
-    trials = 10 if level == "quick" else 40
-    nx, ny, nt = 12, 10, 4
-    specs = [
-        mri.gen_pseudo_radial_mask(nx, ny, nt, lines=4, seed=5),
-        mri.gen_vds_mask(nx, ny, nt, accel=3.0, seed=6),
-    ]
-    worst = 0.0
+def _probe_adjoint(rng, trials, specs):
+    """Worst relative deviations of ``<A x, y> = <x, A^H y>`` and ``0 <= <x, A^H A x> <= ||x||^2``.
+
+    Each of ``specs`` in turn runs ``trials`` draws of an image x, then k-space y.
+    """
+    identity = quad = 0.0
     for spec in specs:
         for _ in range(trials):
             x = _random_tensor(rng, spec.dims)
             y = mri._random_kspace(rng, spec)
             lhs = np.vdot(mri.forward(x, spec).values, y.values)
             rhs = np.vdot(x.slices, mri.adjoint(y).slices)
-            scale = max(abs(lhs), abs(rhs), 1e-30)
-            worst = max(worst, abs(lhs - rhs) / scale)
-            # A^H A is a contraction with a real, nonnegative quadratic form.
-            aha = mri.adjoint(mri.forward(x, spec))
-            quad = np.vdot(x.slices, aha.slices)
+            identity = max(identity, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30))
+            form = np.vdot(x.slices, mri.adjoint(mri.forward(x, spec)).slices)
             nx2 = frobenius_norm(x) ** 2
-            if abs(quad.imag) > 1e-10 * nx2 or not (-1e-10 * nx2 <= quad.real <= (1 + 1e-10) * nx2):
-                return False, f"A^H A quadratic form out of range: {quad!r}"
+            quad = max(quad, abs(form.imag) / nx2, -form.real / nx2, form.real / nx2 - 1)
+    return identity, quad
+
+
+def _check_forward_adjoint(level):
+    trials = 10 if level == "quick" else 40
+    specs = [mri.gen_pseudo_radial_mask(12, 10, 4, lines=4, seed=5),
+             mri.gen_vds_mask(12, 10, 4, accel=3.0, seed=6)]
+    worst, quad = _probe_adjoint(np.random.default_rng(19), trials, specs)
+    if quad > 1e-10:
+        return False, f"A^H A quadratic form out of range by {quad:.3e}"
     return worst <= 1e-12, f"max adjoint identity deviation {worst:.3e}"
 
 
@@ -244,27 +263,35 @@ def _check_full_mask_roundtrip(level):
     return ok, f"full-mask zero-filled SNR {value:.1f} dB"
 
 
+def _probe_x_update(rng, specs, mus, gammas):
+    """Worst relative residual of the normal equations ``d A^H A x + p x = d A^H b + p (z - l)``.
+
+    ``x_update_cartesian`` at ``(d, p) = (1, mu)`` for each of ``mus``, then
+    ``x_update_gamma`` at ``(gamma, 1)`` for each of ``gammas``, each on every
+    one of ``specs``; every case draws its own z, l and b.
+    """
+    worst = 0.0
+    cases = [(admm.x_update_cartesian, mu, 1.0, mu) for mu in mus]
+    cases += [(admm.x_update_gamma, gamma, gamma, 1.0) for gamma in gammas]
+    for step, weight, d, p in cases:
+        for spec in specs:
+            z, l = _random_tensor(rng, spec.dims), _random_tensor(rng, spec.dims)
+            b = mri._random_kspace(rng, spec)
+            x = step(z, l, b, spec, weight)
+            lhs = mri.adjoint(mri.forward(x, spec)) * d + x * p
+            rhs = mri.adjoint(b) * d + (z - l) * p
+            scale = d * float(np.linalg.norm(b.values)) + p * frobenius_norm(z - l)
+            worst = max(worst, frobenius_norm(lhs - rhs) / scale)
+    return worst
+
+
 def _check_x_update_normal_equations(level):
     rng = np.random.default_rng(21)
-    trials = 4 if level == "quick" else 12
-    worst = 0.0
-    for _ in range(trials):
-        spec = mri.gen_vds_mask(10, 9, 3, accel=2.5, seed=int(rng.integers(1e6)))
-        z = _random_tensor(rng, spec.dims)
-        l = _random_tensor(rng, spec.dims)
-        b = mri._random_kspace(rng, spec)
-        mu = float(rng.uniform(0.1, 5.0))
-        x = admm.x_update_cartesian(z, l, b, spec, mu)
-        lhs = mri.adjoint(mri.forward(x, spec)) + x * mu
-        rhs = mri.adjoint(b) + (z - l) * mu
-        scale = float(np.linalg.norm(b.values)) + mu * frobenius_norm(z - l)
-        worst = max(worst, frobenius_norm(lhs - rhs) / scale)
-        gamma = float(rng.uniform(0.0, 5.0))
-        xg = admm.x_update_gamma(z, l, b, spec, gamma)
-        lhs_g = mri.adjoint(mri.forward(xg, spec)) * gamma + xg
-        rhs_g = mri.adjoint(b) * gamma + (z - l)
-        scale_g = gamma * float(np.linalg.norm(b.values)) + frobenius_norm(z - l)
-        worst = max(worst, frobenius_norm(lhs_g - rhs_g) / scale_g)
+    n_specs, n_weights = (2, 2) if level == "quick" else (3, 4)
+    seeds = rng.integers(10**6, size=n_specs)
+    specs = [mri.gen_vds_mask(10, 9, 3, accel=2.5, seed=seed) for seed in seeds]
+    mus, gammas = rng.uniform(0.1, 5.0, n_weights), rng.uniform(0.0, 5.0, n_weights)
+    worst = _probe_x_update(rng, specs, mus.tolist(), gammas.tolist())
     return worst <= 1e-10, f"max normal-equation residual {worst:.3e}"
 
 
@@ -293,26 +320,30 @@ def _check_z_subproblem(level):
     return True, f"optimal against {perturbations} perturbations"
 
 
+def _probe_equivalence(b, spec, config):
+    """Relative deviation of the constant schedule from ``solve``, and both iteration counts.
+
+    The schedule repeats ``gamma = 1/mu``, ``eta`` and ``tau = lam/mu`` of ``config``.
+    """
+    classic = admm.solve(b, spec, config)
+    step = admm.IterationParams(gamma=1.0 / config.mu, eta=config.eta, tau=config.lam / config.mu)
+    general = admm.solve_generalized(b, spec, [step] * config.max_iters, config.transform,
+                                     record_history=config.record_history)
+    dev = frobenius_norm(general.reconstruction - classic.reconstruction)
+    runs = (classic.iterations_run, general.iterations_run)
+    return dev / frobenius_norm(classic.reconstruction), runs
+
+
 def _check_generalized_matches_classic(level):
     rng = np.random.default_rng(23)
     spec = mri.gen_vds_mask(10, 8, 4, accel=2.0, seed=3)
-    truth = _random_tensor(rng, spec.dims)
-    b = mri.forward(truth, spec)
-    t = make_transform("fft", 4)
-    lam, mu, eta, iters = 0.05, 1.0, 1.0, 8
-    config = admm.AdmmConfig(
-        lam=lam, mu=mu, eta=eta, transform=t, max_iters=iters, rel_tol=0.0,
-        record_history=False,
-    )
-    classic = admm.solve(b, spec, config)
-    schedule = [
-        admm.IterationParams(gamma=1.0 / mu, eta=eta, tau=lam / mu) for _ in range(iters)
-    ]
-    general = admm.solve_generalized(b, spec, schedule, t, record_history=False)
-    dev = frobenius_norm(
-        general.reconstruction - classic.reconstruction
-    ) / frobenius_norm(classic.reconstruction)
-    return dev <= 1e-10, f"relative difference {dev:.3e} after {iters} iterations"
+    b = mri.forward(_random_tensor(rng, spec.dims), spec)
+    config = admm.AdmmConfig(lam=0.05, mu=1.0, eta=1.0, transform=make_transform("fft", 4),
+                             max_iters=8, rel_tol=0.0, record_history=False)
+    dev, runs = _probe_equivalence(b, spec, config)
+    # Classic mode is the constant schedule, so the two agree bit for bit.
+    ok = dev == 0.0 and runs == (8, 8)
+    return ok, f"relative difference {dev:.3e} after {config.max_iters} iterations"
 
 
 def _check_fidelity_monotone(level):
@@ -336,22 +367,27 @@ def _check_fidelity_monotone(level):
     return ok, f"max fidelity uptick above the lam/mu noise floor: {worst:.3e}"
 
 
-def _check_recovery(level):
-    rng = np.random.default_rng(7)
+def _probe_recovery(lam, mu, record_history=False):
+    """SNR and report of 300 classic FFT iterations on the rank-2 16x16x8 phantom.
+
+    Each k-space entry is sampled with probability 1/2 (seed 7), and every frame's DC entry.
+    """
     truth = mri.make_phantom(16, 16, 8, "low_tubal_rank", seed=1, rank=2)
-    mask = rng.random((8, 16, 16)) < 0.5
+    mask = np.random.default_rng(7).random((8, 16, 16)) < 0.5
     mask[:, mri.dc_index(16), mri.dc_index(16)] = True
     spec = mri.SamplingSpec(mask, seed=7, descriptor={"pattern": "bernoulli"})
-    b = mri.forward(truth, spec)
-    t = make_transform("fft", 8)
     config = admm.AdmmConfig(
-        lam=3e-2, mu=1e-1, eta=1.0, transform=t, max_iters=300, rel_tol=0.0
+        lam=lam, mu=mu, eta=1.0, transform=make_transform("fft", 8), max_iters=300,
+        rel_tol=0.0, record_history=record_history,
     )
-    report = admm.solve(b, spec, config)
-    value = mri.snr(report.reconstruction, truth)
+    report = admm.solve(mri.forward(truth, spec), spec, config)
+    return mri.snr(report.reconstruction, truth), report
+
+
+def _check_recovery(level):
+    value, report = _probe_recovery(3e-2, 1e-1, record_history=True)
     primal = report.history[-1].primal_residual
-    limit = 1e-6 * frobenius_norm(report.reconstruction)
-    ok = value >= 40.0 and primal <= limit
+    ok = value >= 40.0 and primal <= 1e-6 * frobenius_norm(report.reconstruction)
     return ok, f"recovery SNR {value:.1f} dB, final primal residual {primal:.3e}"
 
 
@@ -391,9 +427,9 @@ _CHECKS = [
 
 
 def run_checks(level: str = "quick") -> list[CheckResult]:
-    """Run the invariant suite and return one result per check."""
+    """Run the invariant suite, one result per check; an unknown level is a ParameterError."""
     if level not in LEVELS:
-        raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
+        raise ParameterError(f"level must be one of {LEVELS}, got {level!r}")
     results = []
     for name, fn, levels in _CHECKS:
         if level not in levels:

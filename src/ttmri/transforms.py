@@ -74,14 +74,18 @@ class UnitaryTransform:
         return ComplexTensor3._wrap(_mode3_product(self.matrix.conj().T, stack))
 
     def _apply_adjoint_in_place(self, stack: np.ndarray) -> ComplexTensor3:
-        """:meth:`apply_adjoint` of a writable stack that nothing else uses.
+        """:meth:`apply_adjoint` of a writable C-contiguous stack that nothing else uses.
 
-        The FFT overwrites ``stack``; the other kinds are not in-place
-        operations and leave it to be freed.
+        The result overwrites ``stack``: the FFT through its ``out``, the DCT
+        and matrix kinds one block of columns at a time.
         """
         if self.kind == "fft":
-            return ComplexTensor3._wrap(np.fft.ifft(stack, axis=0, norm="ortho", out=stack))
-        return self.apply_adjoint(ComplexTensor3._wrap(stack))
+            np.fft.ifft(stack, axis=0, norm="ortho", out=stack)
+        elif self.kind == "dct":
+            _mode3_product_in_place(_dct_matrix(self.size).T, stack)
+        elif self.kind == "matrix":
+            _mode3_product_in_place(self.matrix.conj().T, stack)
+        return ComplexTensor3._wrap(stack)
 
     def __repr__(self):
         return f"UnitaryTransform(kind={self.kind!r}, size={self.size})"
@@ -111,11 +115,33 @@ def _mode3_product(mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
     so real and imaginary parts go through one real GEMM and real data
     stays real.
     """
+    return np.dot(mat, _flat(mat, stack)).view(np.complex128).reshape(stack.shape)
+
+
+def _flat(mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``stack`` as ``(n3, n1 * n2)``, or as float64 ``(n3, 2 * n1 * n2)`` for a real ``mat``."""
     n3 = stack.shape[0]
-    if np.isrealobj(mat):
-        flat = stack.view(np.float64).reshape(n3, -1)
-        return np.dot(mat, flat).view(np.complex128).reshape(stack.shape)
-    return np.dot(mat, stack.reshape(n3, -1)).reshape(stack.shape)
+    return stack.view(np.float64).reshape(n3, -1) if np.isrealobj(mat) else stack.reshape(n3, -1)
+
+
+# Columns per block of the in-place mode-3 product.
+_BLOCK = 1024
+
+
+def _mode3_product_in_place(mat: np.ndarray, stack: np.ndarray):
+    """:func:`_mode3_product` written back into the C-contiguous ``stack``.
+
+    Each block of ``_BLOCK`` columns of the flattened stack is multiplied
+    into one ``(n3, _BLOCK)`` buffer and copied back, so no second stack is
+    held.
+    """
+    flat = _flat(mat, stack)
+    buf = np.empty(flat.shape[0] * min(_BLOCK, flat.shape[1]), dtype=flat.dtype)
+    for start in range(0, flat.shape[1], _BLOCK):
+        cols = flat[:, start:start + _BLOCK]
+        out = buf[:cols.size].reshape(cols.shape)
+        np.dot(mat, cols, out=out)
+        cols[...] = out
 
 
 def make_transform(kind: str, n3: int, matrix=None) -> UnitaryTransform:

@@ -18,30 +18,21 @@ import pytest
 
 import ttmri
 from ttmri import (
-    ComplexTensor3,
     SamplingSpec,
     AdmmConfig,
-    IterationParams,
     adjoint,
     forward,
     frobenius_norm,
     gen_pseudo_radial_mask,
     gen_vds_mask,
-    inner_product,
     make_phantom,
     make_transform,
     snr,
     solve,
-    solve_generalized,
-    t_product,
     t_tsvt,
-    tensor_hermitian_transpose,
-    transformed_spectral_norm,
-    tt_svd,
     ttnn,
-    x_update_cartesian,
-    x_update_gamma,
 )
+from ttmri import checks
 from ttmri.fileio import load_tensor
 
 from conftest import (
@@ -49,12 +40,8 @@ from conftest import (
     fiber_transform,
     nuclear_norm_dense,
     rand_tensor,
-    random_kspace,
-    random_transform,
     transform_matrix,
 )
-
-KIND_CYCLE = ("identity", "fft", "dct", "matrix")
 
 
 def report(num, text):
@@ -62,23 +49,11 @@ def report(num, text):
 
 
 def test_criterion_01_ttsvd_exactness():
-    rng = np.random.default_rng(101)
     start = time.perf_counter()
-    worst = 0.0
-    for trial in range(50):
-        dims = (
-            int(rng.integers(1, 17)),
-            int(rng.integers(1, 13)),
-            int(rng.integers(1, 9)),
-        )
-        t = random_transform(rng, KIND_CYCLE[trial % 4], dims[2])
-        x = rand_tensor(rng, dims)
-        fac = tt_svd(x, t)
-        vh = tensor_hermitian_transpose(fac.V, t)
-        rec = t_product(fac.U, t_product(fac.S, vh, t), t)
-        worst = max(worst, frobenius_norm(rec - x) / frobenius_norm(x))
+    worst, unitary = checks._probe_tsvd(np.random.default_rng(101), 50, ((1, 17), (1, 13), (1, 9)))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-10
+    assert unitary
     assert elapsed < 10.0
     report(1, f"50 factorizations, max relative error {worst:.2e}, {elapsed:.1f}s")
 
@@ -86,15 +61,8 @@ def test_criterion_01_ttsvd_exactness():
 def test_criterion_02_ttnn_dense_oracle():
     rng = np.random.default_rng(102)
     worst = 0.0
-    for trial in range(50):
-        dims = (
-            int(rng.integers(2, 13)),
-            int(rng.integers(2, 13)),
-            int(rng.integers(1, 7)),
-        )
-        t = random_transform(rng, KIND_CYCLE[trial % 4], dims[2])
-        w = transform_matrix(t.kind, dims[2], t.matrix)
-        x = rand_tensor(rng, dims)
+    for t, x in checks._random_cases(rng, 50, ((2, 13), (2, 13), (1, 7))):
+        w = transform_matrix(t.kind, t.size, t.matrix)
         oracle = nuclear_norm_dense(bdiag_dense(fiber_transform(x.to_array(), w)))
         worst = max(worst, abs(ttnn(x, t) - oracle) / oracle)
     assert worst <= 1e-10
@@ -102,29 +70,12 @@ def test_criterion_02_ttnn_dense_oracle():
 
 
 def test_criterion_03_duality_attainment():
-    rng = np.random.default_rng(103)
-    worst_spectral = 0.0
-    worst_attain = 0.0
-    for trial in range(25):
-        dims = (
-            int(rng.integers(2, 10)),
-            int(rng.integers(2, 10)),
-            int(rng.integers(1, 7)),
-        )
-        t = random_transform(rng, KIND_CYCLE[trial % 4], dims[2])
-        x = rand_tensor(rng, dims)
-        fac = tt_svd(x, t)
-        r = min(dims[0], dims[1])
-        u_r = ComplexTensor3(fac.U.slices[:, :, :r])
-        v_r = ComplexTensor3(fac.V.slices[:, :, :r])
-        witness = t_product(u_r, tensor_hermitian_transpose(v_r, t), t)
-        worst_spectral = max(worst_spectral, transformed_spectral_norm(witness, t))
-        nuclear = ttnn(x, t)
-        worst_attain = max(
-            worst_attain, abs(inner_product(x, witness).real - nuclear) / nuclear
-        )
+    worst_spectral, worst_attain, gap = checks._probe_duality(
+        np.random.default_rng(103), 25, ((2, 10), (2, 10), (1, 7))
+    )
     assert worst_spectral <= 1 + 1e-9
     assert worst_attain <= 1e-9
+    assert gap <= 1e-9
     report(
         3,
         f"25 witnesses, max spectral norm {worst_spectral:.12f}, "
@@ -179,75 +130,28 @@ def test_criterion_04_tsvt_prox_optimality():
 
 
 def test_criterion_05_operator_adjointness():
-    rng = np.random.default_rng(105)
-    specs = [
-        gen_pseudo_radial_mask(18, 14, 4, lines=6, seed=11),
-        gen_vds_mask(18, 14, 4, accel=3.0, seed=12),
-    ]
-    worst = 0.0
-    for spec in specs:
-        for _ in range(50):
-            x = rand_tensor(rng, spec.dims)
-            y = random_kspace(rng, spec)
-            lhs = np.vdot(forward(x, spec).values, y.values)
-            rhs = np.vdot(x.slices, adjoint(y).slices)
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+    specs = [gen_pseudo_radial_mask(18, 14, 4, lines=6, seed=11),
+             gen_vds_mask(18, 14, 4, accel=3.0, seed=12)]
+    worst, quad = checks._probe_adjoint(np.random.default_rng(105), 50, specs)
     assert worst <= 1e-12
+    assert quad <= 1e-10
     report(5, f"100 trials across radial and vds masks, max deviation {worst:.2e}")
 
 
 def test_criterion_06_x_update_normal_equations():
-    rng = np.random.default_rng(106)
-    worst = 0.0
-
-    def classic_residual(spec, mu):
-        z, l = rand_tensor(rng, spec.dims), rand_tensor(rng, spec.dims)
-        b = random_kspace(rng, spec)
-        x = x_update_cartesian(z, l, b, spec, mu)
-        lhs = adjoint(forward(x, spec)) + x * mu
-        rhs = adjoint(b) + (z - l) * mu
-        scale = np.linalg.norm(b.values) + mu * frobenius_norm(z - l)
-        return frobenius_norm(lhs - rhs) / scale
-
-    def gamma_residual(spec, gamma):
-        z, l = rand_tensor(rng, spec.dims), rand_tensor(rng, spec.dims)
-        b = random_kspace(rng, spec)
-        x = x_update_gamma(z, l, b, spec, gamma)
-        lhs = adjoint(forward(x, spec)) * gamma + x
-        rhs = adjoint(b) * gamma + (z - l)
-        scale = gamma * np.linalg.norm(b.values) + frobenius_norm(z - l)
-        return frobenius_norm(lhs - rhs) / scale
-
     masked = gen_vds_mask(12, 10, 3, accel=2.5, seed=13)
     empty = SamplingSpec(np.zeros((3, 12, 10), dtype=bool))
-    for mu in (0.05, 1.0, 20.0):
-        worst = max(worst, classic_residual(masked, mu))
-        worst = max(worst, classic_residual(empty, mu))
-    for gamma in (0.0, 0.4, 8.0):
-        worst = max(worst, gamma_residual(masked, gamma))
-        worst = max(worst, gamma_residual(empty, gamma))
+    worst = checks._probe_x_update(
+        np.random.default_rng(106), (masked, empty), (0.05, 1.0, 20.0), (0.0, 0.4, 8.0)
+    )
     assert worst <= 1e-10
     report(6, f"both closed forms incl. gamma=0 and empty masks, residual {worst:.2e}")
 
 
 def test_criterion_07_end_to_end_recovery():
     start = time.perf_counter()
-    truth = make_phantom(16, 16, 8, "low_tubal_rank", seed=1, rank=2)
-    mask = np.random.default_rng(7).random((8, 16, 16)) < 0.5
-    mask[:, 8, 8] = True
-    spec = SamplingSpec(mask, seed=7, descriptor={"pattern": "bernoulli"})
-    b = forward(truth, spec)
-    t = make_transform("fft", 8)
-    best = -math.inf
-    best_lam = None
-    for lam in np.logspace(-3, -1, 5):
-        config = AdmmConfig(
-            lam=float(lam), mu=1e-2, eta=1.0, transform=t, max_iters=300,
-            rel_tol=0.0, record_history=False,
-        )
-        value = snr(solve(b, spec, config).reconstruction, truth)
-        if value > best:
-            best, best_lam = value, float(lam)
+    lams = np.logspace(-3, -1, 5).tolist()
+    best, best_lam = max((checks._probe_recovery(lam, 1e-2)[0], lam) for lam in lams)
     elapsed = time.perf_counter() - start
     assert best >= 40.0
     assert elapsed < 60.0
@@ -282,23 +186,12 @@ def test_criterion_08_undersampled_phantom_improvement():
 def test_criterion_09_generalized_classic_equivalence():
     spec = gen_pseudo_radial_mask(16, 16, 4, lines=5, seed=21)
     truth = make_phantom(16, 16, 4, "moving_ellipse", seed=21)
-    b = forward(truth, spec)
-    t = make_transform("fft", 4)
-    lam, mu, eta, iters = 0.05, 0.5, 1.0, 15
-    config = AdmmConfig(
-        lam=lam, mu=mu, eta=eta, transform=t, max_iters=iters, rel_tol=0.0
-    )
-    classic = solve(b, spec, config)
-    schedule = [
-        IterationParams(gamma=1.0 / mu, eta=eta, tau=lam / mu) for _ in range(iters)
-    ]
-    general = solve_generalized(b, spec, schedule, t)
-    dev = frobenius_norm(general.reconstruction - classic.reconstruction) / (
-        frobenius_norm(classic.reconstruction)
-    )
-    assert general.iterations_run == classic.iterations_run == iters
+    config = AdmmConfig(lam=0.05, mu=0.5, eta=1.0, transform=make_transform("fft", 4),
+                        max_iters=15, rel_tol=0.0)
+    dev, runs = checks._probe_equivalence(forward(truth, spec), spec, config)
+    assert runs == (15, 15)
     assert dev <= 1e-10
-    report(9, f"constant schedule matches classic solver to {dev:.2e} after {iters} iterations")
+    report(9, f"constant schedule matches classic solver to {dev:.2e} after {runs[0]} iterations")
 
 
 # --- criterion 10: CLI determinism -------------------------------------

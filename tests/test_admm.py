@@ -422,10 +422,10 @@ class TestInPlaceAliasing:
 class TestWorkingSet:
     # Peak memory a solve allocates above its inputs, in image-tensor
     # sizes. The loop holds one k-space grid and m-sized vectors (m is
-    # 0.18 of the grid here); the shrinkage adds the transformed stack and,
-    # for the DCT, the adjoint's output, plus slice- and frame-sized
-    # temporaries (a sixteenth each). Measured: 3.25 (FFT) and 3.54 (DCT).
-    LIMIT = 3.7
+    # 0.18 of the grid here); the shrinkage adds the transformed stack, which
+    # every adjoint overwrites in place, plus slice- and frame-sized
+    # temporaries (a sixteenth each). Measured: 3.25 (FFT) and 3.25 (DCT).
+    LIMIT = 3.41
 
     @staticmethod
     def _peak_over_inputs(run) -> float:

@@ -1,0 +1,128 @@
+"""The invariant suite: its runner, and guards on the probes it shares with the criteria.
+
+Each guard plants a fault in the code a probe exercises and requires the
+probe to report beyond the bound its acceptance criterion asserts, so a
+probe that stopped measuring would fail here, not pass the criteria.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from ttmri import ParameterError, admm, checks, make_transform, mri, tsvd
+from ttmri.cli import main
+
+# Small versions of the criteria's problems; the bounds are the criteria's.
+SIZES = ((2, 7), (2, 7), (1, 5))
+
+
+def _specs():
+    return [mri.gen_pseudo_radial_mask(10, 8, 3, lines=4, seed=1),
+            mri.gen_vds_mask(10, 8, 3, accel=2.0, seed=2)]
+
+
+def _scaled(fn, factor=1 + 1e-6):
+    return lambda *args: fn(*args) * factor
+
+
+def test_tsvd_probe_sees_a_scaled_t_product(monkeypatch):
+    monkeypatch.setattr(tsvd, "t_product", _scaled(tsvd.t_product))
+    worst, _ = checks._probe_tsvd(np.random.default_rng(1), 8, SIZES)
+    assert worst > 1e-10
+
+
+def test_duality_probe_sees_a_scaled_ttnn(monkeypatch):
+    monkeypatch.setattr(tsvd, "ttnn", _scaled(tsvd.ttnn))
+    _, attain, _ = checks._probe_duality(np.random.default_rng(2), 8, SIZES)
+    assert attain > 1e-9
+
+
+def test_adjoint_probe_sees_a_scaled_adjoint(monkeypatch):
+    monkeypatch.setattr(mri, "adjoint", _scaled(mri.adjoint))
+    worst, _ = checks._probe_adjoint(np.random.default_rng(3), 4, _specs())
+    assert worst > 1e-12
+
+
+def test_x_update_probe_sees_a_step_that_ignores_the_data(monkeypatch):
+    def ignore_data(z, l, b, spec, weight):
+        return z - l
+
+    monkeypatch.setattr(admm, "x_update_cartesian", ignore_data)
+    monkeypatch.setattr(admm, "x_update_gamma", ignore_data)
+    worst = checks._probe_x_update(np.random.default_rng(4), _specs(), (0.5,), (2.0,))
+    assert worst > 1e-10
+
+
+def _problem():
+    spec = mri.gen_pseudo_radial_mask(12, 12, 4, lines=5, seed=5)
+    b = mri.forward(mri.make_phantom(12, 12, 4, "moving_ellipse", seed=5), spec)
+    return b, spec
+
+
+def test_equivalence_probe_sees_a_perturbed_lambda(monkeypatch):
+    solve = admm.solve
+    monkeypatch.setattr(admm, "solve", lambda b, spec, config: solve(
+        b, spec, dataclasses.replace(config, lam=config.lam * (1 + 1e-6))))
+    b, spec = _problem()
+    config = admm.AdmmConfig(lam=0.05, mu=0.5, transform=make_transform("fft", 4),
+                             max_iters=6, rel_tol=0.0, record_history=False)
+    dev, runs = checks._probe_equivalence(b, spec, config)
+    assert runs == (6, 6)
+    assert dev > 1e-10
+
+
+def test_recovery_probe_sees_a_solve_that_stops_early(monkeypatch):
+    solve = admm.solve
+    monkeypatch.setattr(admm, "solve", lambda b, spec, config: solve(
+        b, spec, dataclasses.replace(config, max_iters=1)))
+    value, report = checks._probe_recovery(3e-3, 1e-2)
+    assert report.iterations_run == 1
+    assert value < 40.0
+
+
+NAMES = [
+    "tensor.algebra", "transforms.isometry", "transforms.special_cases", "tsvd.decomposition",
+    "tsvd.norm_invariance", "tsvd.duality", "tsvd.prox", "tsvd.sum_rank",
+    "mri.forward_adjoint", "mri.mask_determinism", "mri.full_mask_roundtrip", "admm.x_update",
+    "admm.z_subproblem", "admm.generalized_equivalence", "admm.fidelity_monotone",
+    "admm.recovery", "admm.determinism",
+]
+
+
+@pytest.mark.parametrize("level", ["quick", "full"])
+def test_run_checks_runs_its_level_in_table_order(level):
+    results = checks.run_checks(level)
+    # Only the full level runs the recovery experiment.
+    assert [r.name for r in results] == [n for n in NAMES if level == "full" or n != "admm.recovery"]
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+def test_a_check_that_raises_fails_and_the_rest_still_run(monkeypatch, capsys):
+    def boom(level):
+        raise ZeroDivisionError("planted")
+
+    ran = []
+
+    def passes(level):
+        ran.append(level)
+        return True, "ok"
+
+    table = [(name, boom if name == "tsvd.duality" else passes, levels)
+             for name, _, levels in checks._CHECKS]
+    monkeypatch.setattr(checks, "_CHECKS", table)
+    results = checks.run_checks("quick")
+    failed = [r for r in results if not r.passed]
+    assert [(r.name, r.detail) for r in failed] == [
+        ("tsvd.duality", "raised ZeroDivisionError: planted")
+    ]
+    assert len(ran) == 15
+    assert main(["check"]) == 4
+    out = capsys.readouterr().out
+    assert "FAIL tsvd.duality: raised ZeroDivisionError: planted" in out.splitlines()
+    assert out.strip().endswith("15/16 checks passed")
+
+
+def test_unknown_level_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="level must be one of"):
+        checks.run_checks("medium")

@@ -91,6 +91,19 @@ class TestApply:
         rhs = inner_product(x, t.apply_adjoint(y))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("dims", [(3, 5, 4), (40, 31, 3)])
+    def test_in_place_adjoint_overwrites_its_stack(self, kind, dims):
+        # 40 x 31 spans two blocks of the column-blocked product, the second
+        # one partial, in both its complex and its float64 view.
+        rng = np.random.default_rng(6)
+        t = random_transform(rng, kind, dims[2])
+        x = rand_tensor(rng, dims)
+        stack = x.slices.copy()
+        result = t._apply_adjoint_in_place(stack)
+        assert np.shares_memory(result.slices, stack)
+        assert np.array_equal(result.slices, t.apply_adjoint(x).slices)
+
     def test_size_mismatch(self):
         t = make_transform("fft", 4)
         x = ComplexTensor3.zeros((2, 2, 3))
