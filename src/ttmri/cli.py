@@ -120,6 +120,21 @@ def _cfg_get(cfg, key, kind, required=False, default=None, prefix=""):
     return value
 
 
+# The keys a recon config, a schedule entry and a transform accept. Either
+# mode accepts every top-level key, so one file can switch modes.
+_CONFIG_KEYS = {"mode", "transform", "lambda", "mu", "eta", "max_iters", "rel_tol", "seed",
+                "schedule"}
+_SCHEDULE_KEYS = {"gamma", "eta", "tau", "a", "transform"}
+_TRANSFORM_KEYS = {"kind", "matrix_path"}
+
+
+def _check_keys(cfg, accepted, prefix=""):
+    """Reject the first key of ``cfg``, in file order, that is not in ``accepted``."""
+    for key in cfg:
+        if key not in accepted:
+            raise ConfigError(f"config key '{prefix}{key}' is not recognised")
+
+
 def _build(where, cls, **kwargs):
     """``cls(**kwargs)``; a value the library rejects becomes a ConfigError naming ``where``."""
     try:
@@ -141,6 +156,8 @@ def _make_transform(kind, nt, matrix_path, role):
 
 
 def _transform_from_config(entry, nt, key):
+    if isinstance(entry, dict):
+        _check_keys(entry, _TRANSFORM_KEYS, f"{key}.")
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ConfigError(f"config key '{key}' must be an object with a 'kind'")
     kind = entry["kind"]
@@ -165,6 +182,7 @@ def _parse_recon_config(path, nt):
         raise DataFormatError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    _check_keys(cfg, _CONFIG_KEYS)
     mode = cfg.get("mode", "classic")
     if mode not in ("classic", "generalized"):
         raise ConfigError("config key 'mode' must be 'classic' or 'generalized'")
@@ -193,6 +211,7 @@ def _parse_recon_config(path, nt):
         key = f"schedule[{idx}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"config key '{key}' must be an object")
+        _check_keys(entry, _SCHEDULE_KEYS, f"{key}.")
         # Whichever of tau and a the entry has; IterationParams requires exactly one.
         thresholds = {name: entry[name] for name in ("tau", "a") if name in entry}
         for name, raw in thresholds.items():

@@ -428,6 +428,43 @@ def test_number_beyond_the_solver_is_usage_error(pipeline, capsys, x_step_calls,
     assert not list(tmp_path.glob("r.t2t*"))
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"max_iter": 3}, "max_iter"),
+    ({"alpha": 1.5}, "alpha"),
+    ({"mode": "generalized", "alpha": 1.5, "schedule": [_SCHEDULE_ENTRY]}, "alpha"),
+    ({"transform": {"knd": "fft"}}, "transform.knd"),
+    ({"transform": {"kind": "fft", "matrix": "m.t2m"}}, "transform.matrix"),
+    ({"mode": "generalized", "schedule": [_SCHEDULE_ENTRY, {**_SCHEDULE_ENTRY, "mu": 0.5}]},
+     "schedule[1].mu"),
+    ({"mode": "generalized",
+      "schedule": [{**_SCHEDULE_ENTRY, "transform": {"kind": "dct", "size": 4}}]},
+     "schedule[0].transform.size"),
+], ids=["max_iter", "alpha", "alpha-generalized", "transform-knd", "transform-matrix",
+        "schedule-mu", "schedule-transform-size"])
+def test_unknown_config_key_is_usage_error(pipeline, capsys, x_step_calls, overrides, key):
+    # A misspelt or unsupported key would otherwise run with its default:
+    # the config is rejected, no iteration runs and no file is written.
+    tmp_path, _, mask, kspace = pipeline
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
+               "--out", tmp_path / "r.t2t") == 2
+    assert f"config key '{key}' is not recognised" in capsys.readouterr().err
+    assert x_step_calls == []
+    assert not list(tmp_path.glob("r.t2t*"))
+
+
+def test_config_may_carry_both_modes_keys(pipeline):
+    # One file switches modes by its 'mode' key; the other mode's keys stay.
+    tmp_path, _, mask, kspace = pipeline
+    cfg = write_config(tmp_path / "cfg.json", seed=4, schedule=[_SCHEDULE_ENTRY])
+    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
+               "--out", tmp_path / "c.t2t") == 0
+    cfg = write_config(tmp_path / "cfg.json", mode="generalized", seed=4,
+                       schedule=[_SCHEDULE_ENTRY])
+    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
+               "--out", tmp_path / "g.t2t") == 0
+
+
 @pytest.mark.parametrize("entry, message", [
     ({**_SCHEDULE_ENTRY, "eta": -1}, "'schedule[1]': eta must be finite and nonnegative"),
     ({**_SCHEDULE_ENTRY, "gamma": -2.0}, "'schedule[1]': gamma must be finite and nonnegative"),
