@@ -11,12 +11,15 @@ slice's largest singular value through a sigmoid weight), a data weight
 and optionally a different unitary transform per iteration. Classic mode
 is its constant schedule, bit for bit.
 
-The loop is over-relaxed, with ``alpha = RELAXATION = 1.8`` (Eckstein &
-Bertsekas, Math. Program. 55, 1992; Boyd et al. 2011, section 3.4.3):
-the x-step and the multiplier update see ``Zr = alpha Z + (1 - alpha) X``
-in place of the shrinkage output ``Z``. This changes the path, not the
+Each iteration with multiplier rate ``eta = 1`` is over-relaxed, with
+``alpha = RELAXATION = 1.8`` (Eckstein & Bertsekas, Math. Program. 55,
+1992; Boyd et al. 2011, section 3.4.3): the x-step and the multiplier
+update see ``Zr = alpha Z + (1 - alpha) X`` in place of the shrinkage
+output ``Z``. For a constant schedule this changes the path, not the
 minimizer, and takes about a third fewer iterations to reach a given
-``rel_tol``.
+``rel_tol``. That convergence result covers a unit multiplier step
+only, and with ``eta = 1.5`` the relaxed loop diverges, so iterations at
+any other ``eta`` run plain ADMM (``alpha = 1``).
 
 The solver iterates in k-space, where the shrinkage and the nuclear norm
 are unchanged (the per-frame centred 2D DFT is unitary and commutes with
@@ -60,7 +63,8 @@ __all__ = [
 # Largest max_iters: ``solve`` lists one schedule entry per allowed iteration.
 MAX_ITERS = 1_000_000
 
-# Over-relaxation factor alpha in (0, 2) of every solve; 1 would be plain ADMM.
+# Over-relaxation factor alpha in (0, 2) of the iterations with eta = 1; the
+# others run plain ADMM (alpha = 1).
 RELAXATION = 1.8
 
 
@@ -284,8 +288,8 @@ def _relative_shrink(
     return _shrink(yhat, transform, threads, lambda k, s: weights[k] * s[0])
 
 
-def _over_relax(z: np.ndarray, x: np.ndarray, index: np.ndarray) -> float:
-    """Overwrite ``z`` with ``x + RELAXATION (z - x)`` off the grid entries ``index``.
+def _over_relax(z: np.ndarray, x: np.ndarray, index: np.ndarray, alpha: float) -> float:
+    """Overwrite ``z`` with ``x + alpha (z - x)`` off the grid entries ``index``.
 
     Returns ``||z - x||`` over the entries off ``index``, where ``z`` is
     the input; at ``index`` the output holds ``x``. No array is allocated.
@@ -293,7 +297,7 @@ def _over_relax(z: np.ndarray, x: np.ndarray, index: np.ndarray) -> float:
     z -= x
     z.reshape(-1)[index] = 0
     off = float(np.linalg.norm(z))
-    z *= RELAXATION
+    z *= alpha
     z += x
     return off
 
@@ -314,14 +318,15 @@ def solve(
 
     Starts at ``X0 = A^H(b)``, ``Z0 = X0``, ``L0 = 0`` and iterates, in
     this order, the shrinkage ``Z`` of ``X + L``, the over-relaxation
-    ``Zr = alpha Z + (1 - alpha) X`` with ``alpha = RELAXATION = 1.8``
-    (Eckstein & Bertsekas 1992), the data-consistency step on ``Zr - L``
-    and the multiplier update ``L - eta (Zr - X_new)``, until the relative
-    change of ``X`` drops below ``rel_tol`` or ``max_iters`` is reached.
-    Over-relaxation leaves the minimizer unchanged and reaches it in
-    fewer iterations. This is the generalised solver on the constant
-    schedule ``tau = lam/mu``, ``gamma = 1/mu`` with a fixed ``eta`` and
-    transform.
+    ``Zr = alpha Z + (1 - alpha) X``, the data-consistency step on
+    ``Zr - L`` and the multiplier update ``L - eta (Zr - X_new)``, until
+    the relative change of ``X`` drops below ``rel_tol`` or ``max_iters``
+    is reached. With ``eta = 1`` (the default), ``alpha = RELAXATION =
+    1.8`` (Eckstein & Bertsekas 1992), which leaves the minimizer
+    unchanged and reaches it in fewer iterations; with any other ``eta``,
+    ``alpha = 1`` (plain ADMM). This is the generalised solver on the
+    constant schedule ``tau = lam/mu``, ``gamma = 1/mu`` with a fixed
+    ``eta`` and transform.
 
     Raises
     ------
@@ -352,8 +357,11 @@ def solve_generalized(
     Each schedule entry supplies the thresholds (absolute ``tau`` or
     relative ``a``), the data weight ``gamma``, the multiplier rate
     ``eta``, and optionally its own transform (``init_transform`` is the
-    default). The loop stops early once the relative change of ``X``
-    drops below ``rel_tol``. The reported objective uses
+    default). Entries with ``eta = 1`` are over-relaxed by ``RELAXATION``,
+    the others run plain ADMM, as in :func:`solve`; a schedule that varies
+    has no fixed minimizer, so relaxation changes its output. The loop
+    stops early once the relative change of ``X`` drops below
+    ``rel_tol``. The reported objective uses
     ``report_lambda`` as the nuclear-norm weight, since the generalised
     scheme has no single regularisation parameter.
 
@@ -398,12 +406,15 @@ def solve_generalized(
         z.flags.writeable = True  # a fresh array that the loop alone holds
         z_s = z.reshape(-1)[index]
         grid.reshape(-1)[index] = x_s  # grid is X_old
+        # Relaxation is proven for a unit multiplier step only: at eta = 1.5
+        # and alpha = 1.8 the loop diverges.
+        alpha = RELAXATION if params.eta == 1.0 else 1.0
         # Off the mask z becomes Zr, which is X_new there; off is ||Z - X_old|| there.
-        off = _over_relax(z, grid, index)
-        zr_s = x_s + RELAXATION * (z_s - x_s)
+        off = _over_relax(z, grid, index, alpha)
+        zr_s = x_s + alpha * (z_s - x_s)
         x_new = _sampled_x(zr_s - l_s, b.values, params.gamma, 1.0)
         z.reshape(-1)[index] = x_new  # z is X_new
-        change = math.hypot(RELAXATION * off, float(np.linalg.norm(x_new - x_s)))
+        change = math.hypot(alpha * off, float(np.linalg.norm(x_new - x_s)))
         rel = _relative_change(change, float(np.linalg.norm(grid)))
         grid, x_s = z, x_new
         l_s = l_s - params.eta * (zr_s - x_s)
@@ -416,8 +427,8 @@ def solve_generalized(
             objective = fidelity + report_lambda * nuclear
             if not np.isfinite(objective):
                 raise DivergenceError(f"non-finite objective at iteration {n}", iteration=n)
-            # Off the mask Z - X_new is (1 - RELAXATION) (Z - X_old).
-            primal = math.hypot((RELAXATION - 1.0) * off, float(np.linalg.norm(z_s - x_s)))
+            # Off the mask Z - X_new is (1 - alpha) (Z - X_old).
+            primal = math.hypot((alpha - 1.0) * off, float(np.linalg.norm(z_s - x_s)))
             history.append(IterationStats(n, objective, fidelity, nuclear, primal, elapsed_ms))
         if rel < rel_tol:
             break

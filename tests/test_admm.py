@@ -271,9 +271,10 @@ def _image_space_solve(b, spec, schedule, init_transform, rel_tol, report_lambda
                        alpha=admm.RELAXATION):
     """The over-relaxed solver loop in image space, with an image-sized multiplier.
 
-    Returns the reconstruction, the iterations run and, per iteration,
-    the objective, fidelity, TTNN and primal residual ``||Z - X||`` (``Z``
-    before relaxation). ``alpha = 1`` is plain ADMM.
+    Iterations with ``eta = 1`` are relaxed by ``alpha``; the others run
+    plain ADMM. Returns the reconstruction, the iterations run and, per
+    iteration, the objective, fidelity, TTNN and primal residual
+    ``||Z - X||`` (``Z`` before relaxation). ``alpha = 1`` is plain ADMM.
     """
     x, l = adjoint(b), ComplexTensor3.zeros(spec.dims)
     history = []
@@ -282,7 +283,8 @@ def _image_space_solve(b, spec, schedule, init_transform, rel_tol, report_lambda
         y = x + l
         tau = params.tau if params.a is None else relative_thresholds(y, params.a, t)
         z = t_tsvt(y, tau, t)
-        z_relaxed = alpha * z + (1 - alpha) * x
+        a = alpha if params.eta == 1.0 else 1.0
+        z_relaxed = a * z + (1 - a) * x
         x_new = x_update_gamma(z_relaxed, l, b, spec, params.gamma)
         change, size = frobenius_norm(x_new - x), frobenius_norm(x)
         x = x_new
@@ -651,6 +653,22 @@ class TestSolve:
         relaxed, relaxed_iterations, x, iterations = runs[1e-4]
         assert relaxed_iterations <= 0.75 * iterations
         assert objective(relaxed) <= objective(x)
+
+    def test_non_unit_eta_runs_plain_admm(self):
+        # Relaxation is proven for eta = 1 only; at eta = 1.5 and mu = 0.1
+        # the relaxed loop diverges, so the solve must be plain ADMM there.
+        t = make_transform("fft", 8)
+        spec = gen_pseudo_radial_mask(32, 32, 8, 10, 5)
+        b = forward(make_phantom(32, 32, 8, "moving_ellipse", 5), spec)
+        config = AdmmConfig(lam=0.03, mu=0.1, transform=t, eta=1.5, max_iters=300)
+        report = solve(b, spec, config)
+        x, iterations, _ = _image_space_solve(
+            b, spec, [IterationParams(gamma=1 / 0.1, eta=1.5, tau=0.03 / 0.1)] * 300, t,
+            config.rel_tol, 0.03, alpha=1.0,
+        )
+        assert report.iterations_run == iterations < 300
+        assert frobenius_norm(report.reconstruction - x) <= 1e-12 * frobenius_norm(x)
+        assert report.history[-1].primal_residual < 1e-4
 
     def test_config_validation(self):
         t = make_transform("fft", 2)

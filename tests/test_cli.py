@@ -453,16 +453,13 @@ def test_unknown_config_key_is_usage_error(pipeline, capsys, x_step_calls, overr
     assert not list(tmp_path.glob("r.t2t*"))
 
 
-def test_config_may_carry_both_modes_keys(pipeline):
-    # One file switches modes by its 'mode' key; the other mode's keys stay.
+def test_classic_config_may_carry_a_schedule(pipeline):
+    # One file switches modes by its 'mode' key; a classic run ignores the
+    # schedule. Generalized configs carrying classic keys run elsewhere.
     tmp_path, _, mask, kspace = pipeline
     cfg = write_config(tmp_path / "cfg.json", seed=4, schedule=[_SCHEDULE_ENTRY])
     assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
                "--out", tmp_path / "c.t2t") == 0
-    cfg = write_config(tmp_path / "cfg.json", mode="generalized", seed=4,
-                       schedule=[_SCHEDULE_ENTRY])
-    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
-               "--out", tmp_path / "g.t2t") == 0
 
 
 @pytest.mark.parametrize("entry, message", [
