@@ -22,11 +22,9 @@ from .admm import (
     IterationParams,
     IterationStats,
     ReconReport,
-    l_update,
     relative_thresholds,
     solve,
     solve_generalized,
-    x_update_cartesian,
     x_update_gamma,
     z_update,
 )
@@ -101,7 +99,7 @@ __all__ = [
     "add_noise", "dc_index",
     # admm
     "AdmmConfig", "IterationParams", "IterationStats", "ReconReport",
-    "z_update", "x_update_cartesian", "x_update_gamma", "l_update",
+    "z_update", "x_update_gamma",
     "relative_thresholds", "solve", "solve_generalized",
     # errors
     "TtmriError", "DimensionError", "ParameterError", "UnitarityError",

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, NumericError, ParameterError
+from .errors import DimensionError, DivergenceError, ParameterError
 from .errors import _check_count, _check_real
 from .mri import KSpaceVector, SamplingSpec, _centered_fft2
 from .tensor import ComplexTensor3
@@ -52,9 +52,7 @@ __all__ = [
     "IterationStats",
     "ReconReport",
     "z_update",
-    "x_update_cartesian",
     "x_update_gamma",
-    "l_update",
     "relative_thresholds",
     "solve",
     "solve_generalized",
@@ -124,7 +122,10 @@ class IterationStats:
     """One iteration of a solve's history.
 
     ``primal_residual`` is ``||Z - X||`` with ``Z`` the shrinkage output
-    before over-relaxation.
+    before over-relaxation. ``elapsed_ms`` times the shrink, the x-step
+    and the multiplier update. It excludes the iteration's statistics,
+    mainly the SVD of ``ttnn(X)``: about 30% of an iteration's wall time
+    at 128x128x16 on 2 cores.
     """
 
     iteration: int
@@ -165,26 +166,6 @@ def _check_kspace(b: KSpaceVector, spec: SamplingSpec, *tensors: ComplexTensor3)
         raise DimensionError("tensor dims do not match the sampling spec")
 
 
-def x_update_cartesian(
-    z: ComplexTensor3,
-    l_prev: ComplexTensor3,
-    b: KSpaceVector,
-    spec: SamplingSpec,
-    mu: float,
-) -> ComplexTensor3:
-    """Closed-form data-consistency step on a Cartesian grid.
-
-    Solves ``(A^H A + mu) X = A^H(b) + mu (Z - L)`` exactly via
-    element-wise division in k-space. ``mu = 0`` is only defined when the
-    mask is full; otherwise unsampled entries would be 0/0.
-    """
-    _check_real("mu", mu)
-    _check_kspace(b, spec, z, l_prev)
-    if mu == 0 and not spec.mask.all():
-        raise NumericError("mu = 0 leaves unsampled k-space entries undefined (0/0)")
-    return _data_consistency(z, l_prev, b, spec, 1.0, mu)
-
-
 def x_update_gamma(
     z: ComplexTensor3,
     l_prev: ComplexTensor3,
@@ -195,55 +176,28 @@ def x_update_gamma(
     """Data-consistency step ``(gamma A^H A + 1)^{-1}(gamma A^H b + Z - L)``.
 
     Stable for every ``gamma >= 0``; ``gamma = 0`` returns ``Z - L``
-    exactly.
+    exactly. ``A^H A`` is the mask in k-space: with ``k`` the centred FFT
+    of ``Z - L``, each sampled entry becomes :func:`_sampled_x` of it,
+    every other keeps ``k``. The classic step of weight ``mu`` is
+    ``gamma = 1/mu``.
     """
     _check_real("gamma", gamma)
     _check_kspace(b, spec, z, l_prev)
     if gamma == 0:
         return z - l_prev
-    return _data_consistency(z, l_prev, b, spec, gamma, 1.0)
-
-
-def _data_consistency(
-    z: ComplexTensor3,
-    l_prev: ComplexTensor3,
-    b: KSpaceVector,
-    spec: SamplingSpec,
-    d: float,
-    p: float,
-) -> ComplexTensor3:
-    """``(d A^H A + p)^{-1} (d A^H b + p (Z - L))`` for ``d, p >= 0``, ``d + p > 0``.
-
-    Both x-steps are this solve, in one fresh array: the classic one with
-    ``d = 1, p = mu``, the gamma one with ``d = gamma, p = 1``. ``A^H A``
-    is the mask in k-space: with ``k`` the centered FFT of ``Z - L``, each
-    sampled entry becomes :func:`_sampled_x` of it, every other keeps
-    ``k``. ``p = 0`` is only defined on a full mask.
-    """
     k = _centered_fft2(np.subtract(z.slices, l_prev.slices), np.fft.fft)
     flat = k.reshape(-1)
     sampled = spec._grid_index()
-    flat[sampled] = _sampled_x(flat[sampled], b.values, d, p)
+    flat[sampled] = _sampled_x(flat[sampled], b.values, gamma)
     return ComplexTensor3._wrap(_centered_fft2(k, np.fft.ifft))
 
 
-def _sampled_x(k: np.ndarray, b: np.ndarray, d: float, p: float) -> np.ndarray:
-    """The x-step ``(d b + p k) / (d + p)`` at the k-space samples ``k`` of ``Z - L``."""
-    out = d * b
-    out += p * k  # in place: one m-vector fewer at the solver's peak, same bits
-    out /= d + p
+def _sampled_x(k: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+    """The x-step ``(gamma b + k) / (gamma + 1)`` at the k-space samples ``k`` of ``Z - L``."""
+    out = gamma * b
+    out += k  # in place: one m-vector fewer at the solver's peak
+    out /= gamma + 1.0
     return out
-
-
-def l_update(
-    l_prev: ComplexTensor3, z: ComplexTensor3, x: ComplexTensor3, eta: float
-) -> ComplexTensor3:
-    """Multiplier update ``L - eta * (Z - X)``."""
-    if not l_prev.dims == z.dims == x.dims:
-        raise DimensionError(f"dimension mismatch: {l_prev.dims}, {z.dims}, {x.dims}")
-    out = np.subtract(z.slices, x.slices)
-    out *= eta
-    return ComplexTensor3._wrap(np.subtract(l_prev.slices, out, out=out))
 
 
 def _sigmoid(v: float) -> float:
@@ -412,7 +366,7 @@ def solve_generalized(
         # Off the mask z becomes Zr, which is X_new there; off is ||Z - X_old|| there.
         off = _over_relax(z, grid, index, alpha)
         zr_s = x_s + alpha * (z_s - x_s)
-        x_new = _sampled_x(zr_s - l_s, b.values, params.gamma, 1.0)
+        x_new = _sampled_x(zr_s - l_s, b.values, params.gamma)
         z.reshape(-1)[index] = x_new  # z is X_new
         change = math.hypot(alpha * off, float(np.linalg.norm(x_new - x_s)))
         rel = _relative_change(change, float(np.linalg.norm(grid)))

@@ -264,23 +264,21 @@ def _check_full_mask_roundtrip(level):
 
 
 def _probe_x_update(rng, specs, mus, gammas):
-    """Worst relative residual of the normal equations ``d A^H A x + p x = d A^H b + p (z - l)``.
+    """Worst relative residual of the normal equations ``gamma A^H A x + x = gamma A^H b + z - l``.
 
-    ``x_update_cartesian`` at ``(d, p) = (1, mu)`` for each of ``mus``, then
-    ``x_update_gamma`` at ``(gamma, 1)`` for each of ``gammas``, each on every
-    one of ``specs``; every case draws its own z, l and b.
+    ``x_update_gamma`` at ``gamma = 1/mu`` for each of ``mus`` (the classic
+    step), then at each of ``gammas``, each on every one of ``specs``; every
+    case draws its own z, l and b.
     """
     worst = 0.0
-    cases = [(admm.x_update_cartesian, mu, 1.0, mu) for mu in mus]
-    cases += [(admm.x_update_gamma, gamma, gamma, 1.0) for gamma in gammas]
-    for step, weight, d, p in cases:
+    for gamma in [1.0 / mu for mu in mus] + list(gammas):
         for spec in specs:
             z, l = _random_tensor(rng, spec.dims), _random_tensor(rng, spec.dims)
             b = mri._random_kspace(rng, spec)
-            x = step(z, l, b, spec, weight)
-            lhs = mri.adjoint(mri.forward(x, spec)) * d + x * p
-            rhs = mri.adjoint(b) * d + (z - l) * p
-            scale = d * float(np.linalg.norm(b.values)) + p * frobenius_norm(z - l)
+            x = admm.x_update_gamma(z, l, b, spec, gamma)
+            lhs = mri.adjoint(mri.forward(x, spec)) * gamma + x
+            rhs = mri.adjoint(b) * gamma + (z - l)
+            scale = gamma * float(np.linalg.norm(b.values)) + frobenius_norm(z - l)
             worst = max(worst, frobenius_norm(lhs - rhs) / scale)
     return worst
 

@@ -27,7 +27,7 @@ from ttmri.transforms import _random_unitary as random_unitary
 
 @pytest.fixture
 def x_step_calls(monkeypatch):
-    """A list that gains one entry per x-step, of the solvers or the public steps.
+    """A list that gains one entry per x-step, of the solvers or ``x_update_gamma``.
 
     Every x-step goes through one formula on the sampled entries,
     ``admm._sampled_x``, which is what this counts.

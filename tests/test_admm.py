@@ -13,7 +13,6 @@ from ttmri import (
     DivergenceError,
     IterationParams,
     KSpaceVector,
-    NumericError,
     ParameterError,
     SamplingSpec,
     adjoint,
@@ -23,7 +22,6 @@ from ttmri import (
     gen_pseudo_radial_mask,
     gen_vds_mask,
     is_unitary_tensor,
-    l_update,
     make_phantom,
     make_transform,
     relative_thresholds,
@@ -37,7 +35,6 @@ from ttmri import (
     transformed_spectral_norm,
     ttnn,
     t_tsvt,
-    x_update_cartesian,
     x_update_gamma,
     z_update,
 )
@@ -97,15 +94,15 @@ class TestZUpdate:
             z_update(x, x, 1.0, 0.0, t)
 
 
-class TestXUpdateCartesian:
+class TestXUpdateGamma:
     def test_fixed_point_of_consistent_data(self):
         # At the solver's fixed point Z = X* and L = 0, a full mask and
-        # mu = 1 reproduce X* exactly.
+        # gamma = 1 reproduce X* exactly.
         rng = np.random.default_rng(3)
         spec = SamplingSpec(np.ones((3, 6, 5), dtype=bool))
         x_star = rand_tensor(rng, spec.dims)
         b = forward(x_star, spec)
-        x = x_update_cartesian(x_star, ComplexTensor3.zeros(spec.dims), b, spec, 1.0)
+        x = x_update_gamma(x_star, ComplexTensor3.zeros(spec.dims), b, spec, 1.0)
         assert frobenius_norm(x - x_star) <= 1e-12 * frobenius_norm(x_star)
 
     def test_empty_mask_returns_z_minus_l(self):
@@ -113,40 +110,10 @@ class TestXUpdateCartesian:
         spec = SamplingSpec(np.zeros((2, 4, 4), dtype=bool))
         z, l = rand_tensor(rng, spec.dims), rand_tensor(rng, spec.dims)
         b = KSpaceVector(np.zeros(0), spec)
-        x = x_update_cartesian(z, l, b, spec, 0.7)
+        x = x_update_gamma(z, l, b, spec, 1.0 / 0.7)
         expected = z - l
         assert frobenius_norm(x - expected) <= 1e-12 * frobenius_norm(expected)
 
-    def test_normal_equation_residual(self):
-        rng = np.random.default_rng(5)
-        spec = gen_vds_mask(10, 9, 3, accel=2.0, seed=1)
-        z, l = rand_tensor(rng, spec.dims), rand_tensor(rng, spec.dims)
-        b = random_kspace(rng, spec)
-        for mu in (0.05, 1.0, 10.0):
-            x = x_update_cartesian(z, l, b, spec, mu)
-            lhs = adjoint(forward(x, spec)) + x * mu
-            rhs = adjoint(b) + (z - l) * mu
-            scale = np.linalg.norm(b.values) + mu * frobenius_norm(z - l)
-            assert frobenius_norm(lhs - rhs) <= 1e-10 * scale
-
-    def test_mu_zero_with_unsampled_positions(self):
-        spec = gen_vds_mask(8, 8, 2, accel=2.0, seed=2)
-        z = ComplexTensor3.zeros(spec.dims)
-        b = KSpaceVector(np.zeros(spec.m), spec)
-        with pytest.raises(NumericError):
-            x_update_cartesian(z, z, b, spec, 0.0)
-
-    def test_mu_zero_with_full_mask(self):
-        rng = np.random.default_rng(6)
-        spec = SamplingSpec(np.ones((2, 4, 4), dtype=bool))
-        truth = rand_tensor(rng, spec.dims)
-        b = forward(truth, spec)
-        z = ComplexTensor3.zeros(spec.dims)
-        x = x_update_cartesian(z, z, b, spec, 0.0)
-        assert frobenius_norm(x - truth) <= 1e-12 * frobenius_norm(truth)
-
-
-class TestXUpdateGamma:
     def test_gamma_zero_exact(self):
         rng = np.random.default_rng(7)
         spec = gen_vds_mask(8, 8, 2, accel=2.0, seed=3)
@@ -154,16 +121,6 @@ class TestXUpdateGamma:
         b = random_kspace(rng, spec)
         x = x_update_gamma(z, l, b, spec, 0.0)
         assert np.array_equal(x.slices, (z - l).slices)
-
-    def test_matches_cartesian_form(self):
-        rng = np.random.default_rng(8)
-        spec = gen_vds_mask(9, 8, 3, accel=2.5, seed=4)
-        z, l = rand_tensor(rng, spec.dims), rand_tensor(rng, spec.dims)
-        b = random_kspace(rng, spec)
-        for mu in (0.1, 1.0, 4.0):
-            xa = x_update_cartesian(z, l, b, spec, mu)
-            xb = x_update_gamma(z, l, b, spec, 1.0 / mu)
-            assert frobenius_norm(xa - xb) <= 1e-12 * frobenius_norm(xa)
 
     def test_large_gamma_limit_full_mask(self):
         rng = np.random.default_rng(9)
@@ -179,7 +136,8 @@ class TestXUpdateGamma:
         spec = gen_vds_mask(10, 9, 3, accel=2.0, seed=5)
         z, l = rand_tensor(rng, spec.dims), rand_tensor(rng, spec.dims)
         b = random_kspace(rng, spec)
-        for gamma in (0.0, 0.3, 5.0):
+        # 20, 1 and 0.1 are the classic step at mu = 0.05, 1 and 10.
+        for gamma in (0.0, 0.1, 0.3, 1.0, 5.0, 20.0):
             x = x_update_gamma(z, l, b, spec, gamma)
             lhs = adjoint(forward(x, spec)) * gamma + x
             rhs = adjoint(b) * gamma + (z - l)
@@ -195,10 +153,10 @@ class TestXUpdateGamma:
 
 
 class TestDataConsistencyLayout:
-    # Both x-steps against the out-of-place formulas they replace, written
+    # The x-step against the out-of-place formula it replaces, written
     # here with the fft2 oracle and the transposed-raster scatter. The
     # arithmetic is the same, so the results must be equal. An unsampled
-    # entry keeps its transformed value k exactly, not (mu k) / mu.
+    # entry keeps its transformed value k exactly.
 
     @pytest.mark.parametrize("dims", LAYOUT_DIMS)
     def test_x_steps_match_old_formulas(self, dims):
@@ -210,13 +168,7 @@ class TestDataConsistencyLayout:
             b = random_kspace(rng, spec)
             scattered = scatter_oracle(mask, b.values)
             k = centered_fft2_oracle(diff)
-            for mu in (0.3, 1.0) + ((0.0,) if name == "full" else ()):
-                numer = k * mu + scattered
-                expected = np.where(mask, numer / (mask + mu), k)
-                expected = centered_fft2_oracle(expected, inverse=True)
-                x = x_update_cartesian(z, l, b, spec, mu)
-                assert np.array_equal(x.slices, expected), (name, mu)
-            for gamma in (0.5, 1.0, 4.0):
+            for gamma in (0.5, 1.0, 1.0 / 0.3, 4.0):
                 numer = k + gamma * scattered
                 expected = centered_fft2_oracle(numer / (gamma * mask + 1.0), inverse=True)
                 x = x_update_gamma(z, l, b, spec, gamma)
@@ -233,7 +185,6 @@ _MASK_ENTRY_POINTS = {
         b, spec, [IterationParams(gamma=2.0, eta=1.0, tau=0.1)] * 20, _FFT4
     ),
     "x_update_gamma": lambda b, spec, z: x_update_gamma(z, z, b, spec, 2.0),
-    "x_update_cartesian": lambda b, spec, z: x_update_cartesian(z, z, b, spec, 0.5),
 }
 
 
@@ -248,7 +199,7 @@ class TestSamplingSpecMatch:
 
     @pytest.mark.parametrize("entry", list(_MASK_ENTRY_POINTS))
     def test_mirrored_mask_rejected_before_any_x_step(self, x_step_calls, entry):
-        # x_step_calls counts the sampled-entry formula that all four reach.
+        # x_step_calls counts the sampled-entry formula that all three reach.
         spec, b, z = self._setup()
         mirrored = SamplingSpec(np.flip(spec.mask, axis=1).copy())
         assert (mirrored.m, mirrored.dims) == (spec.m, spec.dims)
@@ -288,7 +239,7 @@ def _image_space_solve(b, spec, schedule, init_transform, rel_tol, report_lambda
         x_new = x_update_gamma(z_relaxed, l, b, spec, params.gamma)
         change, size = frobenius_norm(x_new - x), frobenius_norm(x)
         x = x_new
-        l = l_update(l, z_relaxed, x, params.eta)
+        l = l - params.eta * (z_relaxed - x)
         fidelity = 0.5 * float(np.linalg.norm(forward(x, spec).values - b.values) ** 2)
         nuclear = ttnn(x, t)
         history.append(
@@ -456,31 +407,6 @@ class TestWorkingSet:
         peak = self._peak_over_inputs(lambda: solve_generalized(
             b, spec, schedule, t, record_history=False, threads=2))
         assert peak <= self.LIMIT * nbytes
-
-
-class TestLUpdate:
-    def test_consensus_keeps_multiplier(self):
-        rng = np.random.default_rng(11)
-        l, z = rand_tensor(rng, (3, 3, 2)), rand_tensor(rng, (3, 3, 2))
-        assert np.array_equal(l_update(l, z, z, 0.9).slices, l.slices)
-
-    def test_zero_rate_keeps_multiplier(self):
-        rng = np.random.default_rng(12)
-        l, z, x = (rand_tensor(rng, (3, 3, 2)) for _ in range(3))
-        assert np.array_equal(l_update(l, z, x, 0.0).slices, l.slices)
-
-    def test_elementwise_formula(self):
-        rng = np.random.default_rng(13)
-        l, z, x = (rand_tensor(rng, (4, 3, 2)) for _ in range(3))
-        eta = 1.3
-        expected = l.slices - eta * (z.slices - x.slices)
-        assert np.allclose(l_update(l, z, x, eta).slices, expected, rtol=1e-15)
-
-    def test_dimension_mismatch(self):
-        rng = np.random.default_rng(14)
-        l, z = rand_tensor(rng, (4, 3, 2)), rand_tensor(rng, (4, 3, 2))
-        with pytest.raises(DimensionError):
-            l_update(l, z, rand_tensor(rng, (3, 4, 2)), 1.0)
 
 
 class TestSolve:
@@ -945,11 +871,9 @@ def _nan_cases():
         "generalized-rel_tol-negative": lambda: solve_generalized(b, spec, step, t, rel_tol=-1.0),
         "z_update-lam": lambda: z_update(z, z, nan, 1.0, t),
         "z_update-mu": lambda: z_update(z, z, 0.1, nan, t),
-        "x_update_cartesian-mu": lambda: x_update_cartesian(z, z, b, spec, nan),
         "x_update_gamma-gamma": lambda: x_update_gamma(z, z, b, spec, nan),
         "z_update-lam-inf": lambda: z_update(z, z, inf, 1.0, t),
         "z_update-mu-inf": lambda: z_update(z, z, 0.1, inf, t),
-        "x_update_cartesian-mu-inf": lambda: x_update_cartesian(z, z, b, spec, inf),
         "x_update_gamma-gamma-inf": lambda: x_update_gamma(z, z, b, spec, inf),
         "multirank-tol": lambda: transformed_multirank(z, t, tol=nan),
         "params-tau-negative": lambda: IterationParams(gamma=1.0, eta=1.0, tau=-0.1),

@@ -48,7 +48,6 @@ def test_x_update_probe_sees_a_step_that_ignores_the_data(monkeypatch):
     def ignore_data(z, l, b, spec, weight):
         return z - l
 
-    monkeypatch.setattr(admm, "x_update_cartesian", ignore_data)
     monkeypatch.setattr(admm, "x_update_gamma", ignore_data)
     worst = checks._probe_x_update(np.random.default_rng(4), _specs(), (0.5,), (2.0,))
     assert worst > 1e-10
