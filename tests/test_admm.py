@@ -136,12 +136,25 @@ class TestXUpdateGamma:
         spec = gen_vds_mask(10, 9, 3, accel=2.0, seed=5)
         z, l = rand_tensor(rng, spec.dims), rand_tensor(rng, spec.dims)
         b = random_kspace(rng, spec)
-        # 20, 1 and 0.1 are the classic step at mu = 0.05, 1 and 10.
-        for gamma in (0.0, 0.1, 0.3, 1.0, 5.0, 20.0):
+        for gamma in (0.0, 0.3, 5.0):
             x = x_update_gamma(z, l, b, spec, gamma)
             lhs = adjoint(forward(x, spec)) * gamma + x
             rhs = adjoint(b) * gamma + (z - l)
             scale = gamma * np.linalg.norm(b.values) + frobenius_norm(z - l)
+            assert frobenius_norm(lhs - rhs) <= 1e-10 * scale
+
+    def test_classic_normal_equation_residual(self):
+        # The classic x-step of weight mu is gamma = 1/mu; it solves
+        # A^H A x + mu x = A^H b + mu (Z - L).
+        rng = np.random.default_rng(5)
+        spec = gen_vds_mask(10, 9, 3, accel=2.0, seed=1)
+        z, l = rand_tensor(rng, spec.dims), rand_tensor(rng, spec.dims)
+        b = random_kspace(rng, spec)
+        for mu in (0.05, 1.0, 10.0):
+            x = x_update_gamma(z, l, b, spec, 1.0 / mu)
+            lhs = adjoint(forward(x, spec)) + x * mu
+            rhs = adjoint(b) + (z - l) * mu
+            scale = np.linalg.norm(b.values) + mu * frobenius_norm(z - l)
             assert frobenius_norm(lhs - rhs) <= 1e-10 * scale
 
     def test_negative_gamma(self):
