@@ -37,11 +37,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DivergenceError, ParameterError
-from .errors import _check_count, _check_real
+from .errors import _check_count, _check_real, _check_seed
 from .mri import KSpaceVector, SamplingSpec, _centered_fft2
 from .tensor import ComplexTensor3
 from .transforms import UnitaryTransform
-from .tsvd import _per_slice, _shrink, _threshold_vector, _transformed_stack, t_tsvt, ttnn
+from .tsvd import _per_slice, _shrink, _threshold_vector, t_tsvt, ttnn
 from .tsvd import transformed_singular_values
 
 __all__ = [
@@ -238,8 +238,7 @@ def _relative_shrink(
     slice is decomposed once.
     """
     weights = _relative_weights(a, y.dims[2])
-    yhat = _transformed_stack(y, transform)
-    return _shrink(yhat, transform, threads, lambda k, s: weights[k] * s[0])
+    return _shrink(transform.apply(y), transform, threads, lambda k, s: weights[k] * s[0])
 
 
 def _over_relax(z: np.ndarray, x: np.ndarray, index: np.ndarray, alpha: float) -> float:
@@ -320,14 +319,15 @@ def solve_generalized(
     scheme has no single regularisation parameter.
 
     All checks run before the first iteration: ``rel_tol >= 0`` (``inf``
-    allowed), ``report_lambda`` finite and ``>= 0``, and each distinct
-    entry's transform size and threshold length against ``nt``, naming the
-    entry's first iteration.
+    allowed), ``report_lambda`` finite and ``>= 0``, ``threads`` an
+    integer ``>= 0``, and each distinct entry's transform size and
+    threshold length against ``nt``, naming the entry's first iteration.
     """
     if not schedule:
         raise ParameterError("schedule must contain at least one entry")
     _check_real("rel_tol", rel_tol, finite=False)
     _check_real("report_lambda", report_lambda)
+    _check_seed(threads, "threads")
     _check_kspace(b, spec)
     nt = spec.dims[2]
     firsts = {}  # each distinct entry, by identity, with its first iteration

@@ -39,10 +39,10 @@ def _check_count(name, value, error=ParameterError, most=sys.maxsize) -> int:
     return int(value)
 
 
-def _check_seed(value):
+def _check_seed(value, name="seed"):
     """ParameterError unless ``value`` is an integer (numpy's too) >= 0."""
     if not (isinstance(value, numbers.Integral) and value >= 0):
-        raise ParameterError(f"seed must be an integer >= 0, got {value!r}")
+        raise ParameterError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 class UnitarityError(TtmriError, ValueError):

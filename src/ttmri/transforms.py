@@ -4,8 +4,10 @@ Every transform here is an isometry: it preserves the Frobenius norm and
 inner products, and its adjoint is its exact inverse. The FFT and DCT use
 the symmetric ``1/sqrt(n3)`` normalisation in both directions; the DCT is
 the orthonormal type-II / type-III pair, applied as an explicit real
-matrix, which maps real data to real data. Explicit matrices are accepted
-after a unitarity check.
+matrix, which maps real data to real data. That product is one real GEMM
+into a fresh stack, or runs block by block when it overwrites its input.
+Explicit matrices are accepted after a unitarity check. ``apply`` and
+``apply_adjoint`` return a fresh tensor for every kind, the identity too.
 """
 
 from __future__ import annotations
@@ -52,40 +54,28 @@ class UnitaryTransform:
     def apply(self, x: ComplexTensor3) -> ComplexTensor3:
         """Transform every mode-3 fiber ``x(i, j, :)``."""
         self._check(x)
-        stack = x.slices
-        if self.kind == "identity":
-            return x
-        if self.kind == "fft":
-            return ComplexTensor3._wrap(np.fft.fft(stack, axis=0, norm="ortho"))
-        if self.kind == "dct":
-            return ComplexTensor3._wrap(_mode3_product(_dct_matrix(self.size), stack))
-        return ComplexTensor3._wrap(_mode3_product(self.matrix, stack))
+        return ComplexTensor3._wrap(self._mode3(x.slices))
 
     def apply_adjoint(self, xhat: ComplexTensor3) -> ComplexTensor3:
         """Inverse of :meth:`apply` (the Hermitian transpose transform)."""
         self._check(xhat)
-        stack = xhat.slices
-        if self.kind == "identity":
-            return xhat
-        if self.kind == "fft":
-            return ComplexTensor3._wrap(np.fft.ifft(stack, axis=0, norm="ortho"))
-        if self.kind == "dct":
-            return ComplexTensor3._wrap(_mode3_product(_dct_matrix(self.size).T, stack))
-        return ComplexTensor3._wrap(_mode3_product(self.matrix.conj().T, stack))
+        return ComplexTensor3._wrap(self._mode3(xhat.slices, adjoint=True))
 
-    def _apply_adjoint_in_place(self, stack: np.ndarray) -> ComplexTensor3:
-        """:meth:`apply_adjoint` of a writable C-contiguous stack that nothing else uses.
+    def _mode3(self, stack: np.ndarray, adjoint: bool = False, out: np.ndarray | None = None):
+        """The transform (or its adjoint) of a ``(n3, n1, n2)`` stack, written to ``out``.
 
-        The result overwrites ``stack``: the FFT through its ``out``, the DCT
-        and matrix kinds one block of columns at a time.
+        ``out`` defaults to a fresh stack; it may be ``stack`` itself, which
+        must then be a writable C-contiguous stack that nothing else uses.
         """
-        if self.kind == "fft":
-            np.fft.ifft(stack, axis=0, norm="ortho", out=stack)
-        elif self.kind == "dct":
-            _mode3_product_in_place(_dct_matrix(self.size).T, stack)
-        elif self.kind == "matrix":
-            _mode3_product_in_place(self.matrix.conj().T, stack)
-        return ComplexTensor3._wrap(stack)
+        out = np.empty_like(stack) if out is None else out
+        if self.kind == "identity":
+            np.copyto(out, stack)
+        elif self.kind == "fft":
+            (np.fft.ifft if adjoint else np.fft.fft)(stack, axis=0, norm="ortho", out=out)
+        else:
+            mat = self.matrix if self.kind == "matrix" else _dct_matrix(self.size)
+            _mode3_product(mat.conj().T if adjoint else mat, stack, out)
+        return out
 
     def __repr__(self):
         return f"UnitaryTransform(kind={self.kind!r}, size={self.size})"
@@ -107,15 +97,26 @@ def _dct_matrix(n: int) -> np.ndarray:
     return mat
 
 
-def _mode3_product(mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """``mat`` applied to every mode-3 fiber of a ``(n3, n1, n2)`` stack.
+def _mode3_product(mat: np.ndarray, stack: np.ndarray, out: np.ndarray):
+    """``mat`` applied to every mode-3 fiber of a ``(n3, n1, n2)`` stack, into ``out``.
 
-    One GEMM over the stack flattened to ``(n3, n1 * n2)``. A real ``mat``
-    multiplies the ``(n3, 2 * n1 * n2)`` float64 view of the complex stack,
-    so real and imaginary parts go through one real GEMM and real data
-    stays real.
+    The stack is flattened to ``(n3, n1 * n2)``; a real ``mat`` multiplies
+    its ``(n3, 2 * n1 * n2)`` float64 view, so real and imaginary parts go
+    through one real GEMM and real data stays real. Into a fresh ``out``
+    the product is one GEMM. When ``out`` is ``stack``, each block of
+    ``_BLOCK`` columns is multiplied into one ``(n3, _BLOCK)`` buffer and
+    copied back, so no second stack is held.
     """
-    return np.dot(mat, _flat(mat, stack)).view(np.complex128).reshape(stack.shape)
+    flat = _flat(mat, stack)
+    if out is not stack:
+        np.dot(mat, flat, out=_flat(mat, out))
+        return
+    buf = np.empty(flat.shape[0] * min(_BLOCK, flat.shape[1]), dtype=flat.dtype)
+    for start in range(0, flat.shape[1], _BLOCK):
+        cols = flat[:, start:start + _BLOCK]
+        block = buf[:cols.size].reshape(cols.shape)
+        np.dot(mat, cols, out=block)
+        cols[...] = block
 
 
 def _flat(mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -124,24 +125,8 @@ def _flat(mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return stack.view(np.float64).reshape(n3, -1) if np.isrealobj(mat) else stack.reshape(n3, -1)
 
 
-# Columns per block of the in-place mode-3 product.
+# Columns per block of the mode-3 product that overwrites its stack.
 _BLOCK = 1024
-
-
-def _mode3_product_in_place(mat: np.ndarray, stack: np.ndarray):
-    """:func:`_mode3_product` written back into the C-contiguous ``stack``.
-
-    Each block of ``_BLOCK`` columns of the flattened stack is multiplied
-    into one ``(n3, _BLOCK)`` buffer and copied back, so no second stack is
-    held.
-    """
-    flat = _flat(mat, stack)
-    buf = np.empty(flat.shape[0] * min(_BLOCK, flat.shape[1]), dtype=flat.dtype)
-    for start in range(0, flat.shape[1], _BLOCK):
-        cols = flat[:, start:start + _BLOCK]
-        out = buf[:cols.size].reshape(cols.shape)
-        np.dot(mat, cols, out=out)
-        cols[...] = out
 
 
 def make_transform(kind: str, n3: int, matrix=None) -> UnitaryTransform:

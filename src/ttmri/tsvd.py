@@ -28,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ParameterError, _check_count, _check_real
+from .errors import DimensionError, NumericError, ParameterError
+from .errors import _check_count, _check_real, _check_seed
 from .tensor import ComplexTensor3
 from .transforms import UnitaryTransform
 
@@ -165,8 +166,9 @@ def _blas_thread_counts():
 
 
 def _map_slices(work, n3: int, threads: int):
+    _check_seed(threads, "threads")
     with _blas_pinned():
-        if threads and threads > 0:
+        if threads:
             with ThreadPoolExecutor(max_workers=int(threads)) as pool:
                 list(pool.map(work, range(n3)))
         else:
@@ -398,40 +400,28 @@ def t_tsvt(
     slice is recomposed and the adjoint transform applied. ``tau`` may
     also be a length-``n3`` vector with one threshold per slice.
     """
-    yhat = _transformed_stack(y, transform)
+    yhat = transform.apply(y)
     taus = _threshold_vector(tau, y.dims[2])
     return _shrink(yhat, transform, threads, lambda k, s: taus[k])
 
 
-def _transformed_stack(y: ComplexTensor3, transform: UnitaryTransform) -> np.ndarray:
-    """``transform.apply(y)`` as a writable stack that shares no memory with ``y``.
-
-    ``apply`` returns a fresh array for every transform but the identity,
-    which returns ``y`` itself; that one is copied.
-    """
-    yhat = transform.apply(y)
-    if yhat is y:
-        return y.slices.copy()
-    stack = yhat.slices
-    stack.flags.writeable = True
-    return stack
-
-
-def _shrink(yhat: np.ndarray, transform: UnitaryTransform, threads: int, threshold):
+def _shrink(yhat: ComplexTensor3, transform: UnitaryTransform, threads: int, threshold):
     """Soft-threshold each transformed slice and transform back.
 
-    ``yhat`` is the ``(n3, n1, n2)`` stack of transformed slices, writable
-    and used by nothing else (see :func:`_transformed_stack`): each slice is
-    recomposed into it after its SVD, and the adjoint transform reuses it
-    where it can. Slice ``k`` has its singular values ``s``
-    (nonincreasing) shrunk by ``threshold(k, s)``, so a threshold may
-    depend on the slice's own spectrum without a second SVD.
+    ``yhat`` is what ``transform.apply`` returned, a fresh tensor that
+    nothing else holds: each slice is recomposed into its stack after its
+    SVD, and the adjoint transform overwrites that stack. Slice ``k`` has
+    its singular values ``s`` (nonincreasing) shrunk by
+    ``threshold(k, s)``, so a threshold may depend on the slice's own
+    spectrum without a second SVD.
     """
+    stack = yhat.slices
+    stack.flags.writeable = True
 
     def shrink(k: int):
-        u, s, vh = _svd(yhat[k], k, full_matrices=False)
+        u, s, vh = _svd(stack[k], k, full_matrices=False)
         u *= np.maximum(s - threshold(k, s), 0.0)
-        np.matmul(u, vh, out=yhat[k])
+        np.matmul(u, vh, out=stack[k])
 
-    _map_slices(shrink, yhat.shape[0], threads)
-    return transform._apply_adjoint_in_place(yhat)
+    _map_slices(shrink, stack.shape[0], threads)
+    return ComplexTensor3._wrap(transform._mode3(stack, adjoint=True, out=stack))

@@ -38,6 +38,7 @@ from ttmri import (
     x_update_gamma,
     z_update,
 )
+from ttmri.transforms import KINDS
 
 from conftest import (
     LAYOUT_DIMS,
@@ -346,23 +347,25 @@ _ORACLE_CASES = {
 
 
 class TestInPlaceAliasing:
-    # The shrinkage recomposes into the transformed stack; under the
-    # identity transform that stack must be a copy, not the caller's data.
+    # The shrinkage recomposes into the stack that the forward transform
+    # returned and transforms it back in place; under every kind, the
+    # identity included, that stack must be fresh, not the caller's data.
 
     @pytest.mark.parametrize("threads", [0, 2])
     def test_tsvt_and_z_update_leave_inputs_alone(self, threads):
         rng = np.random.default_rng(46)
-        t = make_transform("identity", 3)
-        x, l = rand_tensor(rng, (6, 5, 3)), rand_tensor(rng, (6, 5, 3))
-        saved = [x.slices.copy(), l.slices.copy()]
-        z = t_tsvt(x, 0.5, t, threads=threads)
-        z2 = z_update(x, l, 0.5, 2.0, t, threads=threads)
-        for tensor, before in zip((x, l), saved):
-            assert np.array_equal(tensor.slices, before)
-            assert not tensor.slices.flags.writeable
-            assert not np.shares_memory(tensor.slices, z.slices)
-            assert not np.shares_memory(tensor.slices, z2.slices)
-        assert frobenius_norm(z) < frobenius_norm(x)
+        for kind in KINDS:
+            t = random_transform(rng, kind, 3)
+            x, l = rand_tensor(rng, (6, 5, 3)), rand_tensor(rng, (6, 5, 3))
+            saved = [x.slices.copy(), l.slices.copy()]
+            z = t_tsvt(x, 0.5, t, threads=threads)
+            z2 = z_update(x, l, 0.5, 2.0, t, threads=threads)
+            for tensor, before in zip((x, l), saved):
+                assert np.array_equal(tensor.slices, before), kind
+                assert not tensor.slices.flags.writeable, kind
+                assert not np.shares_memory(tensor.slices, z.slices), kind
+                assert not np.shares_memory(tensor.slices, z2.slices), kind
+            assert frobenius_norm(z) < frobenius_norm(x), kind
 
     @pytest.mark.parametrize("case", list(_ORACLE_CASES))
     def test_relative_solve_leaves_iterates_alone(self, case):

@@ -32,8 +32,9 @@ class TestApply:
         rng = np.random.default_rng(0)
         x = rand_tensor(rng, (3, 4, 5))
         t = make_transform("identity", 5)
-        assert np.array_equal(t.apply(x).slices, x.slices)
-        assert np.array_equal(t.apply_adjoint(x).slices, x.slices)
+        for result in (t.apply(x), t.apply_adjoint(x)):
+            assert np.array_equal(result.slices, x.slices)
+            assert not np.shares_memory(result.slices, x.slices)
 
     def test_fft_dc_concentration(self):
         # Fibers constant along mode 3 transform to sqrt(n3) times the
@@ -93,16 +94,18 @@ class TestApply:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("dims", [(3, 5, 4), (40, 31, 3)])
-    def test_in_place_adjoint_overwrites_its_stack(self, kind, dims):
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+    def test_mode3_into_its_stack_matches_a_fresh_stack(self, kind, dims, adjoint):
         # 40 x 31 spans two blocks of the column-blocked product, the second
         # one partial, in both its complex and its float64 view.
         rng = np.random.default_rng(6)
         t = random_transform(rng, kind, dims[2])
-        x = rand_tensor(rng, dims)
-        stack = x.slices.copy()
-        result = t._apply_adjoint_in_place(stack)
-        assert np.shares_memory(result.slices, stack)
-        assert np.array_equal(result.slices, t.apply_adjoint(x).slices)
+        stack = rand_tensor(rng, dims).slices.copy()
+        fresh = t._mode3(stack, adjoint=adjoint)
+        assert not np.shares_memory(fresh, stack)
+        result = t._mode3(stack, adjoint=adjoint, out=stack)
+        assert result is stack
+        assert np.array_equal(result, fresh)
 
     def test_size_mismatch(self):
         t = make_transform("fft", 4)

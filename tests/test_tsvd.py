@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ttmri import (
+    AdmmConfig,
     ComplexTensor3,
     DimensionError,
     IterationParams,
@@ -17,6 +18,7 @@ from ttmri import (
     inner_product,
     is_unitary_tensor,
     make_transform,
+    solve,
     solve_generalized,
     sum_rank,
     t_product,
@@ -597,3 +599,36 @@ def test_singular_values_run_with_blas_pinned(monkeypatch, blas_at_two_threads):
         ttnn(x, t)
     assert seen == [1, 1]
     assert get() == 2
+
+
+def _thread_count_runs(threads):
+    """``t_tsvt``, ``tt_svd`` and a two-iteration ``solve``, each as a call at ``threads``."""
+    rng = np.random.default_rng(30)
+    x = rand_tensor(rng, (5, 4, 3))
+    t = make_transform("dct", 3)
+    spec = SamplingSpec(np.ones((3, 5, 4), dtype=bool))
+    config = AdmmConfig(lam=0.1, mu=1.0, transform=t, max_iters=2, rel_tol=0.0)
+    return (
+        lambda: t_tsvt(x, 0.2, t, threads=threads).slices,
+        lambda: tt_svd(x, t, threads=threads).U.slices,
+        lambda: solve(forward(x, spec), spec, config, threads=threads).reconstruction.slices,
+    )
+
+
+@pytest.mark.parametrize("threads", [-3, -1, 2.7, None, "2"],
+                         ids=["-3", "-1", "2.7", "None", "str-2"])
+def test_bad_thread_count_rejected(monkeypatch, x_step_calls, threads):
+    # Checked before any slice SVD or x-step runs.
+    svds = []
+    monkeypatch.setattr(tsvd, "_svd", lambda *args, **kw: svds.append(1))
+    for run in _thread_count_runs(threads):
+        with pytest.raises(ParameterError, match="threads must be an integer >= 0"):
+            run()
+    assert svds == []
+    assert x_step_calls == []
+
+
+@pytest.mark.parametrize("threads", [0, 2, np.int64(2)], ids=["0", "2", "int64-2"])
+def test_thread_count_accepted(threads):
+    for run, sequential in zip(_thread_count_runs(threads), _thread_count_runs(0)):
+        assert np.array_equal(run(), sequential())
