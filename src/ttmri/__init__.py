@@ -52,10 +52,7 @@ from .mri import (
     spatial_ifft,
 )
 from .tensor import (
-    BlockDiagView,
     ComplexTensor3,
-    bdiag,
-    fold,
     frobenius_norm,
     inner_product,
     new_tensor,
@@ -85,8 +82,7 @@ from .tsvd import (
 __all__ = [
     "__version__",
     # tensor
-    "ComplexTensor3", "BlockDiagView", "new_tensor", "frobenius_norm",
-    "inner_product", "bdiag", "fold",
+    "ComplexTensor3", "new_tensor", "frobenius_norm", "inner_product",
     # transforms
     "UnitaryTransform", "UnitarityReport", "make_transform", "check_unitarity",
     # tsvd

@@ -26,6 +26,7 @@ from pathlib import Path
 
 from . import __version__, admm, checks, fileio, mri, tsvd
 from .errors import DataFormatError, NumericError, ParameterError, TtmriError, UnitarityError
+from .errors import _check_seed
 from .transforms import KINDS, make_transform
 
 EXIT_OK = 0
@@ -135,10 +136,10 @@ def _check_keys(cfg, accepted, prefix=""):
             raise ConfigError(f"config key '{prefix}{key}' is not recognised")
 
 
-def _build(where, cls, **kwargs):
-    """``cls(**kwargs)``; a value the library rejects becomes a ConfigError naming ``where``."""
+def _build(where, make, **kwargs):
+    """``make(**kwargs)``; a value the library rejects becomes a ConfigError naming ``where``."""
     try:
-        return cls(**kwargs)
+        return make(**kwargs)
     except ParameterError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -192,6 +193,7 @@ def _parse_recon_config(path, nt):
     lam = _cfg_get(cfg, "lambda", float, required=(mode == "classic"), default=0.0)
     rel_tol = _cfg_get(cfg, "rel_tol", float, default=1e-6)
     seed = _cfg_get(cfg, "seed", int, default=0)
+    _build("config key 'seed'", _check_seed, value=seed)
     if mode == "classic":
         config = _build(
             "config", admm.AdmmConfig,
@@ -454,6 +456,7 @@ def main(argv=None) -> int:
         parser.error(f"--out is required for '{args.command}'")
     args.start = time.perf_counter()
     try:
+        _check_seed(args.seed)
         return args.func(args)
     except (TtmriError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,9 @@ The backing array of a :class:`ComplexTensor3` has shape ``(n3, n1, n2)``
 in C order, so frontal slices are contiguous and the entry ``(i, j, k)``
 (1-based, k indexing frontal slices) sits at flat offset
 ``((k-1)*n1 + (i-1))*n2 + (j-1)``. The public slice API counts from 1 to
-match the usual mathematical notation.
+match the usual mathematical notation. In a transformed domain this
+stack is the one representation of the block-diagonal matrix of the
+frontal slices: products, SVDs and norms are taken slice by slice on it.
 
 All values are complex double precision. Tensors are immutable after
 construction; every operation returns a new tensor, so values can be
@@ -21,12 +23,9 @@ from .errors import DimensionError, _check_count
 
 __all__ = [
     "ComplexTensor3",
-    "BlockDiagView",
     "new_tensor",
     "frobenius_norm",
     "inner_product",
-    "bdiag",
-    "fold",
 ]
 
 
@@ -126,57 +125,6 @@ class ComplexTensor3:
         return f"ComplexTensor3(dims=({n1}, {n2}, {n3}))"
 
 
-class BlockDiagView:
-    """A tensor interpreted as the block-diagonal matrix of its frontal slices.
-
-    Block ``k`` of the ``(n1*n3) x (n2*n3)`` matrix is frontal slice ``k``
-    of the source tensor. Off-block zeros are implicit; :meth:`to_dense`
-    materialises them explicitly.
-    """
-
-    __slots__ = ("_source",)
-
-    def __init__(self, source: ComplexTensor3):
-        if not isinstance(source, ComplexTensor3):
-            raise TypeError("BlockDiagView wraps a ComplexTensor3")
-        self._source = source
-
-    @property
-    def source(self) -> ComplexTensor3:
-        return self._source
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n1, n2, n3 = self._source.dims
-        return (n1 * n3, n2 * n3)
-
-    def block(self, k: int) -> np.ndarray:
-        return self._source.frontal_slice(k)
-
-    def to_dense(self) -> np.ndarray:
-        """Materialise the full block-diagonal matrix, zeros included."""
-        n1, n2, n3 = self._source.dims
-        out = np.zeros((n1 * n3, n2 * n3), dtype=np.complex128)
-        for k in range(n3):
-            out[k * n1 : (k + 1) * n1, k * n2 : (k + 1) * n2] = self._source.slices[k]
-        return out
-
-    def __matmul__(self, other):
-        if not isinstance(other, BlockDiagView):
-            return NotImplemented
-        a, b = self._source, other._source
-        if a.dims[2] != b.dims[2]:
-            raise DimensionError(f"block counts differ: {a.dims[2]} vs {b.dims[2]}")
-        if a.dims[1] != b.dims[0]:
-            raise DimensionError(
-                f"inner dimensions differ: {a.dims[1]} vs {b.dims[0]}"
-            )
-        return BlockDiagView(ComplexTensor3._wrap(a.slices @ b.slices))
-
-    def __repr__(self):
-        return f"BlockDiagView(shape={self.shape}, source={self._source!r})"
-
-
 def _check_dims(dims) -> tuple[int, int, int]:
     try:
         n1, n2, n3 = dims
@@ -210,13 +158,3 @@ def inner_product(a: ComplexTensor3, b: ComplexTensor3) -> complex:
     if a.dims != b.dims:
         raise DimensionError(f"dimension mismatch: {a.dims} vs {b.dims}")
     return complex(np.vdot(a.slices, b.slices))
-
-
-def bdiag(xhat: ComplexTensor3) -> BlockDiagView:
-    """Block-diagonal matrix view of a tensor's frontal slices."""
-    return BlockDiagView(xhat)
-
-
-def fold(view: BlockDiagView) -> ComplexTensor3:
-    """Fold a block-diagonal view back into its source tensor (bit-exact)."""
-    return view.source

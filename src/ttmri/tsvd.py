@@ -8,12 +8,14 @@ norm (sum of all transformed singular values), the tensor spectral norm
 (their maximum), and the singular value shrinkage operator that is the
 proximal map of the nuclear norm.
 
-Per-slice SVDs are independent; ``threads=0`` selects the sequential
-reference loop and ``threads=n`` runs the same per-slice work on a thread
-pool, writing each slice exactly once. Every slice SVD, at every
-``threads`` value, runs with numpy's OpenBLAS pinned to one thread: the
-``n`` workers do not each start BLAS threads of their own on the same
-cores, and a single slice is too small for BLAS threads to pay off.
+Per-slice SVDs are independent, and every one of them, the values-only
+SVDs behind the norms and ranks included, runs on one slice loop:
+``threads=0`` selects the sequential reference loop and ``threads=n`` runs
+the same per-slice work on a thread pool, writing each slice exactly once.
+Every slice SVD, at every ``threads`` value, runs with numpy's OpenBLAS
+pinned to one thread: the ``n`` workers do not each start BLAS threads of
+their own on the same cores, and a single slice is too small for BLAS
+threads to pay off.
 """
 
 from __future__ import annotations
@@ -318,18 +320,19 @@ def transformed_singular_values(
     """Singular values of every transformed frontal slice.
 
     Returns an array of shape ``(n3, min(n1, n2))`` with nonincreasing rows.
-    The batched SVD runs with BLAS pinned to one thread, as the shrinkage's
-    slice SVDs do.
+    One values-only SVD per slice runs on the sequential slice loop, with
+    BLAS pinned to one thread, as the shrinkage's slice SVDs do; a
+    convergence failure raises :class:`NumericError` naming the slice.
     """
+    n1, n2, n3 = x.dims
     xhat = transform.apply(x).slices
-    with _blas_pinned():
-        try:
-            return np.linalg.svd(xhat, compute_uv=False)
-        except np.linalg.LinAlgError:
-            # Retry slice by slice to report which one failed.
-            for k in range(xhat.shape[0]):
-                _svd(xhat[k], k, compute_uv=False)
-            raise
+    values = np.empty((n3, min(n1, n2)))
+
+    def slice_values(k: int):
+        values[k] = _svd(xhat[k], k, compute_uv=False)
+
+    _map_slices(slice_values, n3, 0)
+    return values
 
 
 def transformed_multirank(

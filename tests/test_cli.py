@@ -372,6 +372,35 @@ def test_bad_generator_flag_is_usage_error(pipeline, command, flag, value):
     assert not list(tmp_path.glob("out.t2t*"))
 
 
+@pytest.mark.parametrize("command", ["recon", "tsvd", "metrics", "check"])
+def test_negative_seed_is_usage_error(pipeline, capsys, x_step_calls, command):
+    # Every command checks --seed before it runs, so a negative seed
+    # reaches no manifest.
+    tmp_path, phantom, mask, kspace = pipeline
+    cfg = write_config(tmp_path / "cfg.json")
+    before = sorted(tmp_path.rglob("*"))
+    argv = {
+        "recon": ["--kspace", kspace, "--mask", mask, "--config", cfg],
+        "tsvd": ["--tensor", phantom],
+        "metrics": ["--rec", phantom, "--ref", phantom],
+        "check": [],
+    }[command]
+    assert run(command, *argv, "--seed", -1, "--out", tmp_path / "out") == 2
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+    assert x_step_calls == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_negative_config_seed_is_usage_error(pipeline, capsys, x_step_calls):
+    tmp_path, _, mask, kspace = pipeline
+    cfg = write_config(tmp_path / "cfg.json", seed=-1)
+    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
+               "--out", tmp_path / "r.t2t") == 2
+    assert "config key 'seed'" in capsys.readouterr().err
+    assert x_step_calls == []
+    assert not list(tmp_path.glob("r.t2t*"))
+
+
 _SCHEDULE_ENTRY = {"gamma": 1.0, "eta": 1.0, "tau": 0.1}
 
 

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from ttmri import (
     ComplexTensor3,
     DimensionError,
-    bdiag,
-    fold,
     frobenius_norm,
     inner_product,
     new_tensor,
@@ -145,41 +143,6 @@ class TestNorms:
     def test_inner_dims_mismatch(self):
         with pytest.raises(DimensionError):
             inner_product(ComplexTensor3.zeros((2, 2, 2)), ComplexTensor3.zeros((2, 2, 3)))
-
-
-class TestBlockDiag:
-    def test_scalar_slices_give_diagonal(self):
-        tube = np.array([1 + 1j, 2.0, 3.0])
-        x = ComplexTensor3(tube.reshape(3, 1, 1))
-        dense = bdiag(x).to_dense()
-        assert np.array_equal(dense, np.diag(tube))
-
-    def test_fold_roundtrip_bitexact(self):
-        rng = np.random.default_rng(4)
-        x = rand_tensor(rng, (3, 4, 5))
-        back = fold(bdiag(x))
-        assert back.dims == x.dims
-        assert np.array_equal(back.slices, x.slices)
-
-    def test_view_matmul_matches_dense_oracle(self):
-        rng = np.random.default_rng(5)
-        a = rand_tensor(rng, (3, 4, 5))
-        b = rand_tensor(rng, (4, 2, 5))
-        product = (bdiag(a) @ bdiag(b)).to_dense()
-        oracle = bdiag(a).to_dense() @ bdiag(b).to_dense()
-        assert np.allclose(product, oracle, rtol=1e-12, atol=1e-12)
-
-    def test_view_matmul_dim_errors(self):
-        a, b = ComplexTensor3.zeros((3, 4, 5)), ComplexTensor3.zeros((3, 2, 5))
-        with pytest.raises(DimensionError):
-            bdiag(a) @ bdiag(b)
-
-    def test_view_shape_and_blocks(self):
-        rng = np.random.default_rng(6)
-        x = rand_tensor(rng, (3, 4, 5))
-        view = bdiag(x)
-        assert view.shape == (15, 20)
-        assert np.array_equal(view.block(2), x.frontal_slice(2))
 
 
 class TestArithmetic:

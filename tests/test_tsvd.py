@@ -31,6 +31,7 @@ from ttmri import (
     ttnn,
 )
 from ttmri import tsvd
+from ttmri.transforms import KINDS
 
 from conftest import (
     bdiag_dense,
@@ -442,6 +443,22 @@ def test_singular_values_shape_and_order():
     assert np.all(sv >= 0)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dims, zero", [
+    ((5, 4, 1), False), ((7, 3, 4), False), ((3, 7, 4), False),
+    ((1, 6, 5), False), ((4, 4, 3), True),
+], ids=["n3-1", "tall", "wide", "1xn", "zero"])
+def test_singular_values_match_the_batched_reference(kind, dims, zero):
+    # One values-only SVD per slice gives the batched call's values bit for bit.
+    rng = np.random.default_rng(31)
+    x = ComplexTensor3.zeros(dims) if zero else rand_tensor(rng, dims)
+    t = random_transform(rng, kind, dims[2])
+    reference = np.linalg.svd(t.apply(x).slices, compute_uv=False)
+    sv = transformed_singular_values(x, t)
+    assert sv.shape == (dims[2], min(dims[:2]))
+    assert np.array_equal(sv, reference)
+
+
 @pytest.mark.parametrize(
     "decompose",
     [
@@ -561,14 +578,14 @@ def test_slice_pool_runs_with_blas_pinned(monkeypatch, blas_at_two_threads, thre
     spec = SamplingSpec(np.ones((3, 5, 4), dtype=bool))
     schedule = [IterationParams(gamma=1.0, eta=1.0, a=-2.0)] * 2
     solve_generalized(forward(x, spec), spec, schedule, t, threads=threads)
-    assert seen == [inside] * 12
+    assert seen == [inside] * 18
     assert get() == 2
 
 
 def test_singular_values_run_with_blas_pinned(monkeypatch, blas_at_two_threads):
-    # The batched values-only SVD behind ttnn (the history's second SVD
-    # pass) runs with BLAS at one thread and restores the count, also
-    # when the SVD fails.
+    # The values-only SVDs behind ttnn (the history's second SVD pass), one
+    # per slice, run with BLAS at one thread and restore the count, also
+    # when an SVD fails.
     get = blas_at_two_threads
     assert tsvd._blas_thread_counts() == (2, 1)
     rng = np.random.default_rng(29)
@@ -586,7 +603,7 @@ def test_singular_values_run_with_blas_pinned(monkeypatch, blas_at_two_threads):
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     assert np.array_equal(transformed_singular_values(x, t), expected)
     assert ttnn(x, t) == float(expected.sum())
-    assert seen == [1, 1]
+    assert seen == [1] * 8
     assert get() == 2
 
     def failing_svd(*args, **kw):
@@ -597,7 +614,7 @@ def test_singular_values_run_with_blas_pinned(monkeypatch, blas_at_two_threads):
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     with pytest.raises(NumericError):
         ttnn(x, t)
-    assert seen == [1, 1]
+    assert seen == [1]
     assert get() == 2
 
 
