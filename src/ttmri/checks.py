@@ -5,14 +5,15 @@ fixed seed and reports the worst deviation it saw. ``level="quick"`` runs
 reduced trial counts and sizes; ``level="full"`` runs the complete suite
 including a small end-to-end recovery experiment.
 
-Six contracts have one ``_probe_*`` function each, which returns worst
-deviations, not a verdict. The checks and the acceptance criteria in
-``tests/test_acceptance.py`` call the same probes at their own seeds, sizes and bounds.
+Ten contracts have one ``_probe_*`` function each, which returns worst
+deviations (or whether two runs agree), not a verdict. The checks, the
+acceptance criteria in ``tests/test_acceptance.py`` and the unit tests call
+the same probes at their own seeds, sizes and bounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -170,25 +171,31 @@ def _check_duality(level):
     return ok, f"max sandwich gap {gap:.3e}, attainment deviation {attain:.3e}"
 
 
-def _check_prox(level):
-    rng = np.random.default_rng(17)
-    trials = 5 if level == "quick" else 20
-    worst = 0.0
+def _probe_prox(rng, trials, sizes, taus=(0.05, 2.0)):
+    """Worst relative nonexpansiveness excess of ``t_tsvt``, and convexity excess of ``ttnn``.
+
+    Each trial draws FFT dims from the ranges in ``sizes``, two tensors and a tau in ``taus``.
+    """
+    expansion = convexity = 0.0
     for _ in range(trials):
-        n3 = int(rng.integers(1, 5))
-        dims = (5, 4, n3)
-        t = make_transform("fft", n3)
+        dims = tuple(int(rng.integers(low, high)) for low, high in sizes)
+        t = make_transform("fft", dims[2])
         y1, y2 = _random_tensor(rng, dims), _random_tensor(rng, dims)
-        tau = float(rng.uniform(0.05, 2.0))
+        tau = float(rng.uniform(*taus))
         d_out = frobenius_norm(tsvd.t_tsvt(y1, tau, t) - tsvd.t_tsvt(y2, tau, t))
         d_in = frobenius_norm(y1 - y2)
-        worst = max(worst, (d_out - d_in) / d_in)
-        # Convexity probe of the nuclear norm.
+        expansion = max(expansion, (d_out - d_in) / d_in)
         mid = tsvd.ttnn((y1 + y2) / 2.0, t)
-        avg = 0.5 * tsvd.ttnn(y1, t) + 0.5 * tsvd.ttnn(y2, t)
-        if mid > avg + 1e-10:
-            return False, f"convexity violated by {mid - avg:.3e}"
-    return worst <= 1e-12, f"max nonexpansiveness excess {worst:.3e}"
+        convexity = max(convexity, mid - (0.5 * tsvd.ttnn(y1, t) + 0.5 * tsvd.ttnn(y2, t)))
+    return expansion, convexity
+
+
+def _check_prox(level):
+    rng, trials = np.random.default_rng(17), 5 if level == "quick" else 20
+    expansion, convexity = _probe_prox(rng, trials, ((5, 6), (4, 5), (1, 5)))
+    if convexity > 1e-10:
+        return False, f"convexity violated by {convexity:.3e}"
+    return expansion <= 1e-12, f"max nonexpansiveness excess {expansion:.3e}"
 
 
 def _check_sum_rank_construction(level):
@@ -291,13 +298,15 @@ def _check_x_update_normal_equations(level):
     return worst <= 1e-10, f"max normal-equation residual {worst:.3e}"
 
 
-def _check_z_subproblem(level):
-    rng = np.random.default_rng(22)
-    perturbations = 50 if level == "quick" else 200
-    t = make_transform("fft", 3)
-    x = _random_tensor(rng, (6, 5, 3))
-    l = _random_tensor(rng, (6, 5, 3))
-    lam, mu = 0.7, 1.3
+def _probe_shrink_optimality(rng, dims, lam, mu, perturbations):
+    """Worst gains of ``lam ||C||_* + mu/2 ||C - x - l||^2`` over ``z = z_update(x, l, lam, mu)``.
+
+    The first, absolute, is that of ``x + l`` or zero; the second, relative to
+    ``max(objective(z), 1)``, that of z plus random d of length up to ``0.1 ||z||``.
+    FFT; x and l of ``dims``.
+    """
+    t = make_transform("fft", dims[2])
+    x, l = _random_tensor(rng, dims), _random_tensor(rng, dims)
     z = admm.z_update(x, l, lam, mu, t)
     y = x + l
 
@@ -305,14 +314,23 @@ def _check_z_subproblem(level):
         return lam * tsvd.ttnn(c, t) + 0.5 * mu * frobenius_norm(c - y) ** 2
 
     best = objective(z)
-    if best > objective(y) + 1e-12 or best > objective(ComplexTensor3.zeros(z.dims)) + 1e-12:
-        return False, "shrinkage output worse than a trivial candidate"
-    radius = 0.1 * frobenius_norm(z)
+    trivial = max(best - objective(y), best - objective(ComplexTensor3.zeros(dims)))
+    radius, gain = 0.1 * frobenius_norm(z), -np.inf
     for _ in range(perturbations):
-        d = _random_tensor(rng, z.dims)
+        d = _random_tensor(rng, dims)
         d = d * (radius * float(rng.random()) / frobenius_norm(d))
-        if objective(z + d) < best - 1e-10 * max(best, 1.0):
-            return False, "a random perturbation beat the prox output"
+        gain = max(gain, (best - objective(z + d)) / max(best, 1.0))
+    return trivial, gain
+
+
+def _check_z_subproblem(level):
+    perturbations = 50 if level == "quick" else 200
+    trivial, gain = _probe_shrink_optimality(
+        np.random.default_rng(22), (6, 5, 3), 0.7, 1.3, perturbations)
+    if trivial > 1e-12:
+        return False, "shrinkage output worse than a trivial candidate"
+    if gain > 1e-10:
+        return False, "a random perturbation beat the prox output"
     return True, f"optimal against {perturbations} perturbations"
 
 
@@ -342,24 +360,28 @@ def _check_generalized_matches_classic(level):
     return ok, f"relative difference {dev:.3e} after {config.max_iters} iterations"
 
 
-def _check_fidelity_monotone(level):
-    spec = mri.gen_vds_mask(12, 12, 4, accel=2.0, seed=9)
-    truth = mri.make_phantom(12, 12, 4, "low_tubal_rank", seed=9, rank=2)
-    b = mri.forward(truth, spec)
-    t = make_transform("fft", 4)
-    config = admm.AdmmConfig(
-        lam=1e-8, mu=1.0, eta=1.0, transform=t, max_iters=30, rel_tol=0.0
-    )
-    report = admm.solve(b, spec, config)
-    fid = [s.fidelity for s in report.history]
-    # The zero-filled start is already consistent, so fidelity lives at
-    # the shrinkage noise floor (each singular value moves by <= lam/mu
-    # per iteration); only upticks above that floor count as degradations.
+def _probe_fidelity(seed, lam, max_iters):
+    """Worst relative fidelity uptick above the lam/mu floor, and final fidelity over that floor.
+
+    A noiseless 12x12x4 FFT solve at mu = 1 of the rank-2 phantom under a vds mask, both of
+    ``seed``. The zero-filled start is already consistent, so fidelity lives at the shrinkage
+    noise floor: each singular value moves by <= lam/mu per iteration.
+    """
+    spec = mri.gen_vds_mask(12, 12, 4, accel=2.0, seed=seed)
+    truth = mri.make_phantom(12, 12, 4, "low_tubal_rank", seed=seed, rank=2)
+    config = admm.AdmmConfig(lam=lam, mu=1.0, eta=1.0, transform=make_transform("fft", 4),
+                             max_iters=max_iters, rel_tol=0.0)
+    fid = [s.fidelity for s in admm.solve(mri.forward(truth, spec), spec, config).history]
     floor = (config.lam / config.mu) ** 2 * 12 * 4
     worst = 0.0
     for prev, cur in zip(fid[1:], fid[2:]):
         worst = max(worst, (cur - prev - floor) / max(prev, 1e-30))
-    ok = worst <= 1e-9 and fid[-1] <= floor
+    return worst, fid[-1] / floor
+
+
+def _check_fidelity_monotone(level):
+    worst, final = _probe_fidelity(9, 1e-8, 30)
+    ok = worst <= 1e-9 and final <= 1.0
     return ok, f"max fidelity uptick above the lam/mu noise floor: {worst:.3e}"
 
 
@@ -387,18 +409,19 @@ def _check_recovery(level):
     return ok, f"recovery SNR {value:.1f} dB, final primal residual {primal:.3e}"
 
 
+def _probe_determinism(b, spec, config):
+    """Whether two solves in a row agree bit for bit, reconstruction and history bar wall times."""
+    r1, r2 = admm.solve(b, spec, config), admm.solve(b, spec, config)
+    h1, h2 = ([replace(s, elapsed_ms=0.0) for s in r.history] for r in (r1, r2))
+    return np.array_equal(r1.reconstruction.slices, r2.reconstruction.slices) and h1 == h2
+
+
 def _check_solver_determinism(level):
     spec = mri.gen_pseudo_radial_mask(12, 12, 4, lines=5, seed=2)
-    truth = mri.make_phantom(12, 12, 4, "moving_ellipse", seed=2)
-    b = mri.forward(truth, spec)
-    t = make_transform("fft", 4)
-    config = admm.AdmmConfig(
-        lam=0.05, mu=1.0, eta=1.0, transform=t, max_iters=10, rel_tol=0.0
-    )
-    r1 = admm.solve(b, spec, config)
-    r2 = admm.solve(b, spec, config)
-    same = np.array_equal(r1.reconstruction.slices, r2.reconstruction.slices)
-    return same, "repeated sequential runs are bit-identical"
+    b = mri.forward(mri.make_phantom(12, 12, 4, "moving_ellipse", seed=2), spec)
+    config = admm.AdmmConfig(lam=0.05, mu=1.0, eta=1.0, transform=make_transform("fft", 4),
+                             max_iters=10, rel_tol=0.0)
+    return _probe_determinism(b, spec, config), "repeated sequential runs are bit-identical"
 
 
 _CHECKS = [

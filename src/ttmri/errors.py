@@ -30,9 +30,14 @@ def _check_real(name, value, positive=False, finite=True):
         raise ParameterError(f"{name} must be {rule}, got {value}")
 
 
+def _is_integer(value):
+    """Whether ``value`` is an integer, numpy's too; a ``bool`` is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_count(name, value, error=ParameterError, most=sys.maxsize) -> int:
-    """``value`` as an ``int``; ``error`` unless an integer (numpy's too) in [1, most]."""
-    if not (isinstance(value, numbers.Integral) and value >= 1):
+    """``value`` as an ``int``; ``error`` unless an integer (numpy's too, no bool) in [1, most]."""
+    if not (_is_integer(value) and value >= 1):
         raise error(f"{name} must be an integer >= 1, got {value!r}")
     if value > most:
         raise error(f"{name} must be at most {most}, got {value!r}")
@@ -40,8 +45,8 @@ def _check_count(name, value, error=ParameterError, most=sys.maxsize) -> int:
 
 
 def _check_seed(value, name="seed"):
-    """ParameterError unless ``value`` is an integer (numpy's too) >= 0."""
-    if not (isinstance(value, numbers.Integral) and value >= 0):
+    """ParameterError unless ``value`` is an integer (numpy's too, no bool) >= 0."""
+    if not (_is_integer(value) and value >= 0):
         raise ParameterError(f"{name} must be an integer >= 0, got {value!r}")
 
 

@@ -79,6 +79,18 @@ def nuclear_norm_dense(mat: np.ndarray) -> float:
     return float(np.linalg.svd(mat, compute_uv=False).sum())
 
 
+def svt_oracle(x, kind, n3, tau, mat=None):
+    """Independent shrinkage path through explicit transform matrices."""
+    w = transform_matrix(kind, n3, mat)
+    xhat = fiber_transform(x.to_array(), w)
+    out = np.zeros_like(xhat)
+    taus = np.broadcast_to(np.asarray(tau, dtype=float), (n3,))
+    for k in range(n3):
+        u, s, vh = np.linalg.svd(xhat[:, :, k], full_matrices=False)
+        out[:, :, k] = (u * np.maximum(s - taus[k], 0.0)) @ vh
+    return fiber_transform(out, w.conj().T)
+
+
 def centered_fft2_oracle(stack: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Per-frame centered unitary 2D (inverse) FFT of an (nt, nx, ny) array."""
     fft2 = np.fft.ifft2 if inverse else np.fft.fft2

@@ -40,6 +40,7 @@ from conftest import (
     fiber_transform,
     nuclear_norm_dense,
     rand_tensor,
+    svt_oracle,
     transform_matrix,
 )
 
@@ -86,20 +87,13 @@ def test_criterion_03_duality_attainment():
 def test_criterion_04_tsvt_prox_optimality():
     rng = np.random.default_rng(104)
     worst_oracle = 0.0
+    n1, n2, n3 = 5, 4, 3
+    t, w = make_transform("fft", n3), transform_matrix("fft", n3)
     for _ in range(10):
-        n1, n2, n3 = 5, 4, 3
         y = rand_tensor(rng, (n1, n2, n3))
         tau = float(rng.uniform(0.2, 1.5))
-        t = make_transform("fft", n3)
         z = t_tsvt(y, tau, t)
-        # Independent per-slice shrinkage through the explicit DFT matrix.
-        w = transform_matrix("fft", n3)
-        yhat = fiber_transform(y.to_array(), w)
-        shr = np.zeros_like(yhat)
-        for k in range(n3):
-            u, s, vh = np.linalg.svd(yhat[:, :, k], full_matrices=False)
-            shr[:, :, k] = (u * np.maximum(s - tau, 0.0)) @ vh
-        expected = fiber_transform(shr, w.conj().T)
+        expected = svt_oracle(y, "fft", n3, tau)
         dev = np.linalg.norm(z.to_array() - expected) / max(
             np.linalg.norm(expected), 1e-30
         )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from ttmri import admm, mri
+from ttmri import admm, checks, mri
 from ttmri import (
     AdmmConfig,
     ComplexTensor3,
@@ -69,24 +69,10 @@ class TestZUpdate:
         assert frobenius_norm(z_update(x, l, lam, 1.0, t)) == 0.0
 
     def test_subproblem_objective(self):
-        rng = np.random.default_rng(2)
-        t = make_transform("fft", 3)
-        x, l = rand_tensor(rng, (6, 5, 3)), rand_tensor(rng, (6, 5, 3))
-        lam, mu = 0.8, 1.7
-        z = z_update(x, l, lam, mu, t)
-        y = x + l
-
-        def objective(c):
-            return lam * ttnn(c, t) + 0.5 * mu * frobenius_norm(c - y) ** 2
-
-        best = objective(z)
-        assert best <= objective(y) + 1e-12
-        assert best <= objective(ComplexTensor3.zeros(y.dims)) + 1e-12
-        radius = 0.1 * frobenius_norm(z)
-        for _ in range(200):
-            d = rand_tensor(rng, z.dims)
-            d = d * (radius * float(rng.random()) / frobenius_norm(d))
-            assert objective(z + d) >= best - 1e-10 * max(best, 1.0)
+        trivial, gain = checks._probe_shrink_optimality(
+            np.random.default_rng(2), (6, 5, 3), 0.8, 1.7, 200)
+        assert trivial <= 1e-12
+        assert gain <= 1e-10
 
     def test_invalid_mu(self):
         t = make_transform("fft", 2)
@@ -133,16 +119,9 @@ class TestXUpdateGamma:
         assert frobenius_norm(x - limit) <= 1e-6 * frobenius_norm(limit)
 
     def test_normal_equation_residual(self):
-        rng = np.random.default_rng(10)
-        spec = gen_vds_mask(10, 9, 3, accel=2.0, seed=5)
-        z, l = rand_tensor(rng, spec.dims), rand_tensor(rng, spec.dims)
-        b = random_kspace(rng, spec)
-        for gamma in (0.0, 0.3, 5.0):
-            x = x_update_gamma(z, l, b, spec, gamma)
-            lhs = adjoint(forward(x, spec)) * gamma + x
-            rhs = adjoint(b) * gamma + (z - l)
-            scale = gamma * np.linalg.norm(b.values) + frobenius_norm(z - l)
-            assert frobenius_norm(lhs - rhs) <= 1e-10 * scale
+        specs = [gen_vds_mask(10, 9, 3, accel=2.0, seed=5)]
+        worst = checks._probe_x_update(np.random.default_rng(10), specs, (), (0.0, 0.3, 5.0))
+        assert worst <= 1e-10
 
     def test_classic_normal_equation_residual(self):
         # The classic x-step of weight mu is gamma = 1/mu; it solves
@@ -486,15 +465,10 @@ class TestSolve:
 
     def test_determinism(self):
         spec = gen_vds_mask(10, 10, 2, accel=2.0, seed=8)
-        truth = make_phantom(10, 10, 2, "rotating_bars", seed=8)
-        b = forward(truth, spec)
-        config = AdmmConfig(
-            lam=0.05, mu=0.5, transform=make_transform("fft", 2), max_iters=8,
-            rel_tol=0.0,
-        )
-        r1, r2 = solve(b, spec, config), solve(b, spec, config)
-        assert np.array_equal(r1.reconstruction.slices, r2.reconstruction.slices)
-        assert [s.objective for s in r1.history] == [s.objective for s in r2.history]
+        b = forward(make_phantom(10, 10, 2, "rotating_bars", seed=8), spec)
+        config = AdmmConfig(lam=0.05, mu=0.5, transform=make_transform("fft", 2), max_iters=8,
+                            rel_tol=0.0)
+        assert checks._probe_determinism(b, spec, config)
 
     def test_divergence_detected(self):
         rng = np.random.default_rng(16)
@@ -511,40 +485,14 @@ class TestSolve:
         assert excinfo.value.iteration >= 1
 
     def test_fidelity_nonincreasing_noiseless(self):
-        spec = gen_vds_mask(12, 12, 4, accel=2.0, seed=10)
-        truth = make_phantom(12, 12, 4, "low_tubal_rank", seed=10, rank=2)
-        b = forward(truth, spec)
-        config = AdmmConfig(
-            lam=1e-9, mu=1.0, transform=make_transform("fft", 4), max_iters=40,
-            rel_tol=0.0,
-        )
-        report = solve(b, spec, config)
-        fid = [s.fidelity for s in report.history]
-        # The zero-filled start is exactly consistent, so the whole
-        # trajectory sits at the shrinkage noise floor: each iteration can
-        # move every transformed singular value by at most lam/mu, which
-        # bounds the attainable fidelity. Upticks below that floor are not
-        # degradations.
-        nx, ny, nt = spec.dims
-        floor = (config.lam / config.mu) ** 2 * min(nx, ny) * nt
-        for prev, cur in zip(fid[1:], fid[2:]):
-            assert cur <= prev * (1 + 1e-9) + floor
-        assert fid[-1] <= floor
+        worst, final = checks._probe_fidelity(10, 1e-9, 40)
+        assert worst <= 1e-9
+        assert final <= 1.0
 
     def test_primal_residual_converges_on_recovery_experiment(self):
         # Desk-scale recovery run; the consensus gap falls below
         # 1e-6 * ||X|| well before the 300-iteration cap.
-        rng = np.random.default_rng(7)
-        truth = make_phantom(16, 16, 8, "low_tubal_rank", seed=1, rank=2)
-        mask = rng.random((8, 16, 16)) < 0.5
-        mask[:, 8, 8] = True
-        spec = SamplingSpec(mask)
-        b = forward(truth, spec)
-        config = AdmmConfig(
-            lam=3e-2, mu=1e-1, transform=make_transform("fft", 8), max_iters=300,
-            rel_tol=0.0,
-        )
-        report = solve(b, spec, config)
+        _, report = checks._probe_recovery(3e-2, 1e-1, record_history=True)
         limit = 1e-6 * frobenius_norm(report.reconstruction)
         hits = [s.iteration for s in report.history if s.primal_residual <= limit]
         assert hits and hits[0] < 300
@@ -638,19 +586,11 @@ class TestSolveGeneralized:
 
     def test_constant_schedule_matches_classic(self):
         spec, _, b = self._setup()
-        t = make_transform("fft", 4)
-        lam, mu, eta, iters = 0.08, 0.9, 1.0, 15
-        config = AdmmConfig(
-            lam=lam, mu=mu, eta=eta, transform=t, max_iters=iters, rel_tol=0.0
-        )
-        classic = solve(b, spec, config)
-        schedule = [
-            IterationParams(gamma=1.0 / mu, eta=eta, tau=lam / mu) for _ in range(iters)
-        ]
-        general = solve_generalized(b, spec, schedule, t)
-        dev = frobenius_norm(general.reconstruction - classic.reconstruction)
-        assert dev <= 1e-10 * frobenius_norm(classic.reconstruction)
-        assert general.iterations_run == classic.iterations_run == iters
+        config = AdmmConfig(lam=0.08, mu=0.9, eta=1.0, transform=make_transform("fft", 4),
+                            max_iters=15, rel_tol=0.0)
+        dev, runs = checks._probe_equivalence(b, spec, config)
+        assert dev <= 1e-10
+        assert runs == (15, 15)
 
     def test_classic_is_the_constant_schedule(self):
         # Classic mode runs exactly the generalised loop on the constant
@@ -876,6 +816,7 @@ def _nan_cases():
         "config-max_iters-whole-float": lambda: AdmmConfig(
             lam=0.1, mu=1.0, transform=t, max_iters=3.0
         ),
+        "config-max_iters-bool": lambda: AdmmConfig(lam=0.1, mu=1.0, transform=t, max_iters=True),
         "config-lam-inf": lambda: AdmmConfig(lam=inf, mu=1.0, transform=t),
         "config-mu-inf": lambda: AdmmConfig(lam=0.1, mu=inf, transform=t),
         "config-eta-inf": lambda: AdmmConfig(lam=0.1, mu=1.0, eta=inf, transform=t),
@@ -915,7 +856,7 @@ def _nan_cases():
 @pytest.mark.parametrize("case", list(_nan_cases()))
 def test_nan_and_negative_parameters_rejected(case):
     # A range check written as "x < 0" lets NaN through, and "x >= 0" lets
-    # inf through; a float iteration count is not a count.
+    # inf through; a float or bool iteration count is not a count.
     with pytest.raises(ParameterError):
         _nan_cases()[case]()
 

@@ -53,6 +53,32 @@ def test_x_update_probe_sees_a_step_that_ignores_the_data(monkeypatch):
     assert worst > 1e-10
 
 
+def test_prox_probe_sees_an_expansive_shrink_and_a_concave_norm(monkeypatch):
+    # 2 y - t_tsvt(y) adds the clipped part of y, a monotone map, to y.
+    t_tsvt, ttnn = tsvd.t_tsvt, tsvd.ttnn
+    monkeypatch.setattr(tsvd, "t_tsvt", lambda y, tau, t: y * 2.0 - t_tsvt(y, tau, t))
+    monkeypatch.setattr(tsvd, "ttnn", lambda x, t: -ttnn(x, t))
+    expansion, convexity = checks._probe_prox(np.random.default_rng(5), 8, SIZES)
+    assert expansion > 1e-12
+    assert convexity > 1e-10
+
+
+def test_shrink_optimality_probe_sees_half_the_threshold(monkeypatch):
+    t_tsvt = admm.t_tsvt
+    monkeypatch.setattr(admm, "t_tsvt", lambda y, tau, t, threads: t_tsvt(y, tau / 2, t))
+    _, gain = checks._probe_shrink_optimality(np.random.default_rng(6), (5, 4, 3), 0.6, 1.0, 200)
+    assert gain > 1e-10
+
+
+def test_fidelity_probe_sees_a_history_whose_fidelity_doubles(monkeypatch):
+    stats = admm.IterationStats
+    monkeypatch.setattr(admm, "IterationStats",
+                        lambda n, objective, fid, *rest: stats(n, objective, fid * 2.0**n, *rest))
+    worst, final = checks._probe_fidelity(7, 1e-8, 10)
+    assert worst > 1e-9
+    assert final > 1.0
+
+
 def _problem():
     spec = mri.gen_pseudo_radial_mask(12, 12, 4, lines=5, seed=5)
     b = mri.forward(mri.make_phantom(12, 12, 4, "moving_ellipse", seed=5), spec)
@@ -69,6 +95,16 @@ def test_equivalence_probe_sees_a_perturbed_lambda(monkeypatch):
     dev, runs = checks._probe_equivalence(b, spec, config)
     assert runs == (6, 6)
     assert dev > 1e-10
+
+
+def test_determinism_probe_sees_noise_in_the_data(monkeypatch):
+    solve, rng = admm.solve, np.random.default_rng(7)
+    monkeypatch.setattr(admm, "solve", lambda b, spec, config: solve(
+        mri.KSpaceVector(b.values + 1e-12 * rng.standard_normal(spec.m), spec), spec, config))
+    b, spec = _problem()
+    config = admm.AdmmConfig(lam=0.05, mu=0.5, transform=make_transform("fft", 4),
+                             max_iters=4, rel_tol=0.0)
+    assert not checks._probe_determinism(b, spec, config)
 
 
 def test_recovery_probe_sees_a_solve_that_stops_early(monkeypatch):

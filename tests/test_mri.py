@@ -25,7 +25,7 @@ from ttmri import (
     sum_rank,
 )
 
-from ttmri import mri
+from ttmri import checks, mri
 
 from conftest import (
     LAYOUT_DIMS,
@@ -101,14 +101,9 @@ class TestForwardAdjoint:
         assert np.array_equal(b.values, expected)
 
     def test_adjoint_identity(self):
-        rng = np.random.default_rng(4)
-        spec = gen_vds_mask(10, 8, 3, accel=2.5, seed=1)
-        for _ in range(10):
-            x = rand_tensor(rng, spec.dims)
-            y = random_kspace(rng, spec)
-            lhs = np.vdot(forward(x, spec).values, y.values)
-            rhs = np.vdot(x.slices, adjoint(y).slices)
-            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+        specs = [gen_vds_mask(10, 8, 3, accel=2.5, seed=1)]
+        identity, _ = checks._probe_adjoint(np.random.default_rng(4), 10, specs)
+        assert identity <= 1e-12
 
     def test_projection_idempotence(self):
         rng = np.random.default_rng(5)
@@ -118,14 +113,10 @@ class TestForwardAdjoint:
         assert np.allclose(again.values, y.values, rtol=1e-12, atol=1e-12)
 
     def test_normal_operator_contraction(self):
-        rng = np.random.default_rng(6)
-        spec = gen_vds_mask(9, 9, 2, accel=3.0, seed=3)
-        for _ in range(5):
-            x = rand_tensor(rng, spec.dims)
-            quad = np.vdot(x.slices, adjoint(forward(x, spec)).slices)
-            nsq = frobenius_norm(x) ** 2
-            assert abs(quad.imag) <= 1e-10 * nsq
-            assert -1e-10 * nsq <= quad.real <= (1 + 1e-10) * nsq
+        # 0 <= <x, A^H A x> <= ||x||^2, relative to ||x||^2.
+        specs = [gen_vds_mask(9, 9, 2, accel=3.0, seed=3)]
+        _, quad = checks._probe_adjoint(np.random.default_rng(6), 5, specs)
+        assert quad <= 1e-10
 
     def test_dims_mismatch(self):
         spec = SamplingSpec(np.ones((2, 4, 4), dtype=bool))
@@ -351,6 +342,7 @@ _BAD_INTEGERS = {  # case: (least allowed value, call)
     "phantom-seed-float": (0, lambda: make_phantom(8, 8, 2, "moving_ellipse", seed=1.5)),
     "radial-seed-negative": (0, lambda: gen_pseudo_radial_mask(8, 8, 2, 2, -1)),
     "vds-seed-float": (0, lambda: gen_vds_mask(8, 8, 2, 4.0, 1.5)),
+    "vds-seed-bool": (0, lambda: gen_vds_mask(8, 8, 2, 4.0, True)),
     "noise-seed-negative": (0, lambda: add_noise(_ZERO_KSPACE, 1.0, seed=-1)),
     "zero-noise-seed-negative": (0, lambda: add_noise(_ZERO_KSPACE, 0.0, seed=np.int64(-1))),
     "unitarity-seed-float": (0, lambda: check_unitarity(make_transform("fft", 2), seed=1.5)),
@@ -360,8 +352,8 @@ _BAD_INTEGERS = {  # case: (least allowed value, call)
 @pytest.mark.parametrize("case", list(_BAD_INTEGERS))
 def test_non_integer_size_rejected(case):
     # Sizes, spoke counts and ranks are integers >= 1 and seeds integers
-    # >= 0; a float, a string or a smaller integer is a ParameterError, not
-    # a ValueError or TypeError from deep inside numpy.
+    # >= 0; a float, a bool, a string or a smaller integer is a
+    # ParameterError, not a ValueError or TypeError from deep inside numpy.
     least, call = _BAD_INTEGERS[case]
     with pytest.raises(ParameterError, match=f"must be an integer >= {least}"):
         call()

@@ -1,5 +1,6 @@
 import sys
 import threading
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from ttmri import (
     tt_svd,
     ttnn,
 )
-from ttmri import tsvd
+from ttmri import checks, tsvd
 from ttmri.transforms import KINDS
 
 from conftest import (
@@ -39,13 +40,9 @@ from conftest import (
     nuclear_norm_dense,
     rand_tensor,
     random_transform,
+    svt_oracle,
     transform_matrix,
 )
-
-
-def reconstruction(factors, transform):
-    vh = tensor_hermitian_transpose(factors.V, transform)
-    return t_product(factors.U, t_product(factors.S, vh, transform), transform)
 
 
 class TestTProduct:
@@ -182,12 +179,9 @@ class TestTtSvd:
         assert np.allclose(fac.singular_values[0], oracle, rtol=1e-12, atol=1e-12)
 
     def test_random_reconstruction(self):
-        rng = np.random.default_rng(8)
-        x = rand_tensor(rng, (6, 5, 4))
-        t = make_transform("fft", 4)
-        fac = tt_svd(x, t)
-        err = frobenius_norm(reconstruction(fac, t) - x)
-        assert err <= 1e-10 * frobenius_norm(x)
+        # One trial per kind, the FFT included.
+        worst, _ = checks._probe_tsvd(np.random.default_rng(8), 4, ((6, 7), (5, 6), (4, 5)))
+        assert worst <= 1e-10
 
     @pytest.mark.parametrize("kind", ("identity", "fft", "dct", "matrix"))
     def test_factor_properties(self, kind):
@@ -311,36 +305,15 @@ class TestNorms:
 class TestDuality:
     def test_sandwich_and_attainment(self):
         rng = np.random.default_rng(16)
-        for trial in range(10):
-            n1, n2, n3 = rng.integers(2, 7, size=3)
-            t = make_transform("fft", int(n3))
-            x = rand_tensor(rng, (int(n1), int(n2), int(n3)))
-            nuclear = ttnn(x, t)
-            # Any unit-spectral-norm direction stays below the nuclear norm.
-            a = rand_tensor(rng, (int(n1), int(n2), int(n3)))
-            a = a / transformed_spectral_norm(a, t)
-            assert inner_product(x, a).real <= nuclear + 1e-9
-            # The factor witness attains it (economy factors).
-            fac = tt_svd(x, t)
-            r = int(min(n1, n2))
-            u_r = ComplexTensor3(fac.U.slices[:, :, :r])
-            v_r = ComplexTensor3(fac.V.slices[:, :, :r])
-            witness = t_product(u_r, tensor_hermitian_transpose(v_r, t), t)
-            assert transformed_spectral_norm(witness, t) <= 1 + 1e-9
-            attained = inner_product(x, witness).real
-            assert attained == pytest.approx(nuclear, rel=1e-9)
-
-
-def svt_oracle(x, kind, n3, tau, mat=None):
-    """Independent shrinkage path through explicit transform matrices."""
-    w = transform_matrix(kind, n3, mat)
-    xhat = fiber_transform(x.to_array(), w)
-    out = np.zeros_like(xhat)
-    taus = np.broadcast_to(np.asarray(tau, dtype=float), (n3,))
-    for k in range(n3):
-        u, s, vh = np.linalg.svd(xhat[:, :, k], full_matrices=False)
-        out[:, :, k] = (u * np.maximum(s - taus[k], 0.0)) @ vh
-    return fiber_transform(out, w.conj().T)
+        sizes = ((2, 7), (2, 7), (2, 7))
+        spectral, attain, gap = checks._probe_duality(rng, 10, sizes)
+        assert spectral <= 1 + 1e-9
+        assert attain <= 1e-9
+        assert gap <= 1e-9
+        # Any unit-spectral-norm direction stays below the nuclear norm.
+        for t, x in checks._random_cases(rng, 10, sizes):
+            a = rand_tensor(rng, x.dims)
+            assert inner_product(x, a / transformed_spectral_norm(a, t)).real <= ttnn(x, t) + 1e-9
 
 
 class TestTsvt:
@@ -377,20 +350,11 @@ class TestTsvt:
         assert np.allclose(got, expected, rtol=1e-10, atol=1e-10)
 
     def test_prox_objective_beats_random_perturbations(self):
-        rng = np.random.default_rng(21)
-        x = rand_tensor(rng, (5, 4, 3))
-        t = make_transform("fft", 3)
-        tau = 0.6
-        z = t_tsvt(x, tau, t)
-
-        def objective(c):
-            return tau * ttnn(c, t) + 0.5 * frobenius_norm(c - x) ** 2
-
-        best = objective(z)
-        for _ in range(2000):
-            d = rand_tensor(rng, (5, 4, 3))
-            d = d * (rng.uniform(0.001, 0.5) / frobenius_norm(d))
-            assert objective(z + d) >= best - 1e-10 * max(best, 1.0)
+        # The prox of tau ||.||_* is z_update at lam = tau, mu = 1.
+        trivial, gain = checks._probe_shrink_optimality(
+            np.random.default_rng(21), (5, 4, 3), 0.6, 1.0, 2000)
+        assert trivial <= 1e-12
+        assert gain <= 1e-10
 
     def test_negative_threshold_rejected(self):
         t = make_transform("fft", 3)
@@ -407,22 +371,12 @@ class TestTsvt:
 
     def test_nonexpansive(self):
         rng = np.random.default_rng(22)
-        t = make_transform("fft", 4)
-        for _ in range(20):
-            y1 = rand_tensor(rng, (5, 4, 4))
-            y2 = rand_tensor(rng, (5, 4, 4))
-            tau = float(rng.uniform(0.01, 3.0))
-            lhs = frobenius_norm(t_tsvt(y1, tau, t) - t_tsvt(y2, tau, t))
-            assert lhs <= frobenius_norm(y1 - y2) * (1 + 1e-12)
+        expansion, _ = checks._probe_prox(rng, 20, ((5, 6), (4, 5), (4, 5)), taus=(0.01, 3.0))
+        assert expansion <= 1e-12
 
     def test_ttnn_convexity_probe(self):
-        rng = np.random.default_rng(23)
-        t = make_transform("fft", 3)
-        for _ in range(20):
-            x = rand_tensor(rng, (4, 5, 3))
-            y = rand_tensor(rng, (4, 5, 3))
-            mid = ttnn((x + y) / 2.0, t)
-            assert mid <= 0.5 * ttnn(x, t) + 0.5 * ttnn(y, t) + 1e-10
+        _, convexity = checks._probe_prox(np.random.default_rng(23), 20, ((4, 5), (5, 6), (3, 4)))
+        assert convexity <= 1e-10
 
     def test_threads_match_sequential(self):
         rng = np.random.default_rng(24)
@@ -443,11 +397,13 @@ def test_singular_values_shape_and_order():
     assert np.all(sv >= 0)
 
 
+# Edge shapes as (dims, whether the tensor is zero).
+EDGE_SHAPES = {"n3-1": ((5, 4, 1), False), "tall": ((7, 3, 4), False),
+               "wide": ((3, 7, 4), False), "1xn": ((1, 6, 5), False), "zero": ((4, 4, 3), True)}
+
+
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("dims, zero", [
-    ((5, 4, 1), False), ((7, 3, 4), False), ((3, 7, 4), False),
-    ((1, 6, 5), False), ((4, 4, 3), True),
-], ids=["n3-1", "tall", "wide", "1xn", "zero"])
+@pytest.mark.parametrize("dims, zero", list(EDGE_SHAPES.values()), ids=list(EDGE_SHAPES))
 def test_singular_values_match_the_batched_reference(kind, dims, zero):
     # One values-only SVD per slice gives the batched call's values bit for bit.
     rng = np.random.default_rng(31)
@@ -619,21 +575,39 @@ def test_singular_values_run_with_blas_pinned(monkeypatch, blas_at_two_threads):
 
 
 def _thread_count_runs(threads):
-    """``t_tsvt``, ``tt_svd`` and a two-iteration ``solve``, each as a call at ``threads``."""
-    rng = np.random.default_rng(30)
-    x = rand_tensor(rng, (5, 4, 3))
-    t = make_transform("dct", 3)
-    spec = SamplingSpec(np.ones((3, 5, 4), dtype=bool))
-    config = AdmmConfig(lam=0.1, mu=1.0, transform=t, max_iters=2, rel_tol=0.0)
-    return (
-        lambda: t_tsvt(x, 0.2, t, threads=threads).slices,
-        lambda: tt_svd(x, t, threads=threads).U.slices,
-        lambda: solve(forward(x, spec), spec, config, threads=threads).reconstruction.slices,
-    )
+    """Calls at ``threads``, each giving a list of arrays, for every kind on every edge shape.
+
+    ``t_tsvt``, ``tt_svd``, a two-iteration ``solve`` and a ``solve_generalized``
+    whose schedule has a relative, then an absolute entry.
+    """
+    schedule = [IterationParams(gamma=1.0, eta=1.0, a=-1.0),
+                IterationParams(gamma=1.0, eta=1.0, tau=0.2)]
+
+    def recon(report):
+        return [report.reconstruction.slices]
+
+    def runs(x, t, spec):
+        b = forward(x, spec)
+        config = AdmmConfig(lam=0.1, mu=1.0, transform=t, max_iters=2, rel_tol=0.0)
+        return [
+            lambda: [t_tsvt(x, 0.2, t, threads=threads).slices],
+            lambda: [q.slices for q in attrgetter("U", "S", "V")(tt_svd(x, t, threads=threads))],
+            lambda: recon(solve(b, spec, config, threads=threads)),
+            lambda: recon(solve_generalized(b, spec, schedule, t, threads=threads)),
+        ]
+
+    cases = []
+    for kind in KINDS:
+        for dims, zero in EDGE_SHAPES.values():
+            rng = np.random.default_rng(30)
+            x = ComplexTensor3.zeros(dims) if zero else rand_tensor(rng, dims)
+            t = random_transform(rng, kind, dims[2])
+            cases += runs(x, t, SamplingSpec(rng.random((dims[2], dims[0], dims[1])) < 0.6))
+    return cases
 
 
-@pytest.mark.parametrize("threads", [-3, -1, 2.7, None, "2"],
-                         ids=["-3", "-1", "2.7", "None", "str-2"])
+@pytest.mark.parametrize("threads", [-3, -1, 2.7, None, "2", True, False],
+                         ids=["-3", "-1", "2.7", "None", "str-2", "True", "False"])
 def test_bad_thread_count_rejected(monkeypatch, x_step_calls, threads):
     # Checked before any slice SVD or x-step runs.
     svds = []
@@ -647,5 +621,7 @@ def test_bad_thread_count_rejected(monkeypatch, x_step_calls, threads):
 
 @pytest.mark.parametrize("threads", [0, 2, np.int64(2)], ids=["0", "2", "int64-2"])
 def test_thread_count_accepted(threads):
-    for run, sequential in zip(_thread_count_runs(threads), _thread_count_runs(0)):
-        assert np.array_equal(run(), sequential())
+    # Threaded runs match sequential ones bit for bit.
+    for run, sequential in zip(_thread_count_runs(threads), _thread_count_runs(0), strict=True):
+        for got, expected in zip(run(), sequential(), strict=True):
+            assert np.array_equal(got, expected)
