@@ -229,18 +229,6 @@ def relative_thresholds(
     return weights * svals.max(axis=1)
 
 
-def _relative_shrink(
-    y: ComplexTensor3, a, transform: UnitaryTransform, threads: int
-) -> ComplexTensor3:
-    """``t_tsvt(y, relative_thresholds(y, a, transform), transform)``.
-
-    Each slice's threshold comes from the SVD that shrinks it, so every
-    slice is decomposed once.
-    """
-    weights = _relative_weights(a, y.dims[2])
-    return _shrink(transform.apply(y), transform, threads, lambda k, s: weights[k] * s[0])
-
-
 def _over_relax(z: np.ndarray, x: np.ndarray, index: np.ndarray, alpha: float) -> float:
     """Overwrite ``z`` with ``x + alpha (z - x)`` off the grid entries ``index``.
 
@@ -322,6 +310,10 @@ def solve_generalized(
     allowed), ``report_lambda`` finite and ``>= 0``, ``threads`` an
     integer ``>= 0``, and each distinct entry's transform size and
     threshold length against ``nt``, naming the entry's first iteration.
+    Entries are told apart by identity and each is checked once; the loop
+    shrinks with the transform and thresholds (or relative weights) that
+    its check returned, so a schedule built as ``[params] * n`` costs one
+    check.
     """
     if not schedule:
         raise ParameterError("schedule must contain at least one entry")
@@ -330,15 +322,15 @@ def solve_generalized(
     _check_seed(threads, "threads")
     _check_kspace(b, spec)
     nt = spec.dims[2]
-    firsts = {}  # each distinct entry, by identity, with its first iteration
+    checked = {}  # each distinct entry, by identity: its transform and taus (or relative weights)
     for n, params in enumerate(schedule, start=1):
-        firsts.setdefault(id(params), (n, params))
-    for n, params in firsts.values():
+        if id(params) in checked:
+            continue
         transform = params.transform or init_transform
         try:
             if transform.size != nt:
                 raise DimensionError(f"transform size {transform.size} does not match nt={nt}")
-            params._thresholds(nt)
+            checked[id(params)] = transform, params._thresholds(nt)
         except (DimensionError, ParameterError) as exc:
             raise type(exc)(f"iteration {n} {exc}") from exc
     # grid is X in k-space between iterations; L is zero off the samples l_s,
@@ -348,14 +340,14 @@ def solve_generalized(
     grid = spec.scatter(b.values)
     history: list[IterationStats] = []
     for n, params in enumerate(schedule, start=1):
-        transform = params.transform or init_transform
+        transform, taus = checked[id(params)]
         tic = time.perf_counter()
         grid.reshape(-1)[index] = x_s + l_s  # grid is Y = X + L
         y = ComplexTensor3._wrap(grid.view())
         if params.tau is not None:
-            z = t_tsvt(y, params.tau, transform, threads=threads).slices
-        else:
-            z = _relative_shrink(y, params.a, transform, threads).slices
+            z = t_tsvt(y, taus, transform, threads=threads).slices
+        else:  # taus are sigmoid weights: slice k's threshold is taus[k] * its top sigma
+            z = _shrink(transform.apply(y), transform, threads, lambda k, s: taus[k] * s[0]).slices
         del y  # y views grid: let grid go once it is spent
         z.flags.writeable = True  # a fresh array that the loop alone holds
         z_s = z.reshape(-1)[index]

@@ -20,7 +20,8 @@ import numpy as np
 from . import admm, mri, tsvd
 from .errors import ParameterError
 from .tensor import ComplexTensor3, frobenius_norm, inner_product
-from .transforms import KINDS, _random_tensor, _random_transform, check_unitarity, make_transform
+from .transforms import KINDS, _random_tensor, _random_transform, _random_unitary, check_unitarity
+from .transforms import make_transform
 
 __all__ = ["CheckResult", "run_checks", "LEVELS"]
 
@@ -171,10 +172,49 @@ def _check_duality(level):
     return ok, f"max sandwich gap {gap:.3e}, attainment deviation {attain:.3e}"
 
 
+# The input classes of the shrink's oracle comparison, as ``r`` transformed singular values of a
+# slice with threshold tau: low rank, full rank, clustered at tau, and a high dynamic range.
+_SPECTRA = (
+    lambda rng, tau, r: np.r_[tau * rng.uniform(0.5, 4.0, (r + 1) // 2), np.zeros(r // 2)],
+    lambda rng, tau, r: tau * rng.uniform(0.1, 4.0, r),
+    lambda rng, tau, r: tau * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, r)),
+    lambda rng, tau, r: tau * 10.0 ** rng.uniform(-8.0, 8.0, r),
+)
+
+
+def _with_spectrum(rng, t, dims, svals):
+    """A tensor of ``dims`` whose transformed slice k has singular values ``svals[k]``."""
+    n1, n2, _ = dims
+    r = min(n1, n2)
+    stack = np.stack([_random_unitary(rng, n1)[:, :r] * s @ _random_unitary(rng, n2)[:r]
+                      for s in svals])
+    return t.apply_adjoint(ComplexTensor3._wrap(stack))
+
+
+def _svt_oracle(y, tau, t):
+    """``U * S_tau * V^H`` from the factors of ``tt_svd(y)``.
+
+    ``S_tau`` is their core with each sigma replaced by ``max(sigma - tau, 0)``; ``tau`` is a
+    scalar or one threshold per slice.
+    """
+    fac = tsvd.tt_svd(y, t)
+    n1, n2, n3 = y.dims
+    shrunk = np.maximum(fac.singular_values - np.broadcast_to(tau, (n3,))[:, None], 0.0)
+    core = np.zeros((n3, n1, n2), dtype=np.complex128)
+    diag = np.arange(shrunk.shape[1])
+    core[:, diag, diag] = shrunk
+    s_tau = t.apply_adjoint(ComplexTensor3._wrap(core))
+    vh = tsvd.tensor_hermitian_transpose(fac.V, t)
+    return tsvd.t_product(fac.U, tsvd.t_product(s_tau, vh, t), t)
+
+
 def _probe_prox(rng, trials, sizes, taus=(0.05, 2.0)):
-    """Worst relative nonexpansiveness excess of ``t_tsvt``, and convexity excess of ``ttnn``.
+    """Worst relative nonexpansiveness excess of ``t_tsvt``, convexity excess of ``ttnn``, and
+    relative deviation of ``t_tsvt`` from :func:`_svt_oracle`.
 
     Each trial draws FFT dims from the ranges in ``sizes``, two tensors and a tau in ``taus``.
+    Then each of the ``_SPECTRA`` classes, under every transform kind, with a scalar and with a
+    per-slice tau in ``taus``, gives one input of such dims; its deviation is relative to it.
     """
     expansion = convexity = 0.0
     for _ in range(trials):
@@ -187,15 +227,29 @@ def _probe_prox(rng, trials, sizes, taus=(0.05, 2.0)):
         expansion = max(expansion, (d_out - d_in) / d_in)
         mid = tsvd.ttnn((y1 + y2) / 2.0, t)
         convexity = max(convexity, mid - (0.5 * tsvd.ttnn(y1, t) + 0.5 * tsvd.ttnn(y2, t)))
-    return expansion, convexity
+    oracle = 0.0
+    for spectrum in _SPECTRA:
+        for kind in KINDS:
+            for vector in (False, True):
+                dims = tuple(int(rng.integers(low, high)) for low, high in sizes)
+                t = _random_transform(rng, kind, dims[2])
+                tau = rng.uniform(*taus, dims[2]) if vector else float(rng.uniform(*taus))
+                svals = [spectrum(rng, tk, min(dims[:2])) for tk in np.broadcast_to(tau, dims[2:])]
+                y = _with_spectrum(rng, t, dims, svals)
+                dev = frobenius_norm(tsvd.t_tsvt(y, tau, t) - _svt_oracle(y, tau, t))
+                oracle = max(oracle, dev / frobenius_norm(y))
+    return expansion, convexity, oracle
 
 
 def _check_prox(level):
     rng, trials = np.random.default_rng(17), 5 if level == "quick" else 20
-    expansion, convexity = _probe_prox(rng, trials, ((5, 6), (4, 5), (1, 5)))
+    expansion, convexity, oracle = _probe_prox(rng, trials, ((5, 6), (4, 5), (1, 5)))
     if convexity > 1e-10:
         return False, f"convexity violated by {convexity:.3e}"
-    return expansion <= 1e-12, f"max nonexpansiveness excess {expansion:.3e}"
+    if oracle > 1e-10:
+        return False, f"t_tsvt deviates from U * S_tau * V^H by {oracle:.3e}"
+    detail = f"max nonexpansiveness excess {expansion:.3e}, oracle deviation {oracle:.3e}"
+    return expansion <= 1e-12, detail
 
 
 def _check_sum_rank_construction(level):

@@ -516,6 +516,21 @@ class TestSolve:
         assert len(calls) == 1
         assert len(x_step_calls) == 7
 
+    def test_one_t_tsvt_per_iteration(self, monkeypatch):
+        # Each absolute shrink goes through admm.t_tsvt, the name a traced run times.
+        calls = []
+        tsvt = admm.t_tsvt
+        monkeypatch.setattr(
+            admm, "t_tsvt", lambda *args, **kw: calls.append(1) or tsvt(*args, **kw)
+        )
+        spec = gen_vds_mask(10, 10, 3, accel=2.0, seed=12)
+        b = forward(make_phantom(10, 10, 3, "moving_ellipse", seed=12), spec)
+        config = AdmmConfig(
+            lam=0.05, mu=0.5, transform=make_transform("fft", 3), max_iters=7, rel_tol=0.0
+        )
+        assert solve(b, spec, config).iterations_run == 7
+        assert len(calls) == 7
+
     def test_over_relaxation_keeps_the_minimizer(self):
         # Over-relaxed ADMM converges to the plain loop's minimizer, and
         # reaches a loose rel_tol in fewer iterations at no higher objective.
@@ -767,6 +782,19 @@ class TestSolveGeneralized:
                             max_iters=10_000, rel_tol=math.inf)
         assert solve(b, spec, config).iterations_run == 1
         assert checked == [None, 4]  # built, then checked against nt
+
+    def test_relative_weights_built_once_per_solve(self, monkeypatch):
+        # The loop shrinks with the weights that the check returned.
+        built = []
+        weights = admm._relative_weights
+        monkeypatch.setattr(
+            admm, "_relative_weights", lambda a, nt: built.append(nt) or weights(a, nt)
+        )
+        spec, _, b = self._setup(seed=33)
+        entry = IterationParams(gamma=2.0, eta=1.0, a=-1.0)
+        report = solve_generalized(b, spec, [entry] * 10, make_transform("dct", 4))
+        assert report.iterations_run == 10
+        assert built == [None, 4]  # built, then checked against nt
 
     def test_repeated_bad_entry_names_its_first_iteration(self, x_step_calls):
         spec, _, b = self._setup(seed=32)

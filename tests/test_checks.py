@@ -58,9 +58,20 @@ def test_prox_probe_sees_an_expansive_shrink_and_a_concave_norm(monkeypatch):
     t_tsvt, ttnn = tsvd.t_tsvt, tsvd.ttnn
     monkeypatch.setattr(tsvd, "t_tsvt", lambda y, tau, t: y * 2.0 - t_tsvt(y, tau, t))
     monkeypatch.setattr(tsvd, "ttnn", lambda x, t: -ttnn(x, t))
-    expansion, convexity = checks._probe_prox(np.random.default_rng(5), 8, SIZES)
+    expansion, convexity, _ = checks._probe_prox(np.random.default_rng(5), 8, SIZES)
     assert expansion > 1e-12
     assert convexity > 1e-10
+
+
+def test_prox_probe_sees_a_scaled_shrink(monkeypatch):
+    # A radial error keeps the shrink nonexpansive; only the oracle comparison sees it.
+    monkeypatch.setattr(tsvd, "t_tsvt", _scaled(tsvd.t_tsvt))
+    expansion, _, oracle = checks._probe_prox(np.random.default_rng(5), 8, SIZES)
+    assert expansion <= 1e-12
+    assert oracle > 1e-10
+    passed, detail = checks._check_prox("quick")
+    assert not passed
+    assert detail.startswith("t_tsvt deviates from U * S_tau * V^H by")
 
 
 def test_shrink_optimality_probe_sees_half_the_threshold(monkeypatch):

@@ -371,11 +371,11 @@ class TestTsvt:
 
     def test_nonexpansive(self):
         rng = np.random.default_rng(22)
-        expansion, _ = checks._probe_prox(rng, 20, ((5, 6), (4, 5), (4, 5)), taus=(0.01, 3.0))
+        expansion, _, _ = checks._probe_prox(rng, 20, ((5, 6), (4, 5), (4, 5)), taus=(0.01, 3.0))
         assert expansion <= 1e-12
 
     def test_ttnn_convexity_probe(self):
-        _, convexity = checks._probe_prox(np.random.default_rng(23), 20, ((4, 5), (5, 6), (3, 4)))
+        _, convexity, _ = checks._probe_prox(np.random.default_rng(23), 20, ((4, 5), (5, 6), (3, 4)))
         assert convexity <= 1e-10
 
     def test_threads_match_sequential(self):
