@@ -11,8 +11,11 @@ mask that produced the samples travels in a sidecar text file at
 ``<path>.mask``.
 
 A load checks the header and the payload length, then reads the payload
-once, into the array it returns. A save writes the header and the payload
-in turn to a temporary file in the target directory, renamed into place.
+once, into the array it returns. A k-space load also checks that every
+sample is finite and names the first one that is not, so a NaN fails as
+a data error before any iteration, not later in the solver's SVD. A save
+writes the header and the payload in turn to a temporary file in the
+target directory, renamed into place.
 """
 
 from __future__ import annotations
@@ -163,6 +166,9 @@ def load_kspace(path):
     through :class:`KSpaceVector` once the mask is loaded.
     """
     values = _read(path, _KSPACE_HEADER, KSPACE_MAGIC, lambda m: ("<c16", (m,)))
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise DataFormatError(f"{path}: sample {int(np.argmin(finite))} is not finite")
     sidecar = Path(f"{path}.mask")
     try:
         mask_path = sidecar.read_text().strip() if sidecar.exists() else None

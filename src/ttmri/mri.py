@@ -94,6 +94,8 @@ class SamplingSpec:
         arr = np.asarray(mask)
         if arr.ndim != 3:
             raise DimensionError(f"mask must be 3-way, got ndim={arr.ndim}")
+        if min(arr.shape) < 1:
+            raise DimensionError(f"all dimensions must be positive, got {arr.shape}")
         if arr.dtype != bool:
             if not np.all((arr == 0) | (arr == 1)):
                 raise ParameterError("mask entries must be boolean or 0/1")

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from ttmri import admm, checks, mri
@@ -249,8 +251,6 @@ def _image_space_solve(b, spec, schedule, init_transform, rel_tol, report_lambda
 
 # The benchmark's classic parameters, lambda = 0.03 and mu = 0.1.
 _BENCH_CLASSIC = IterationParams(gamma=1 / 0.1, eta=1.0, tau=0.03 / 0.1)
-_ABSOLUTE = IterationParams(gamma=2.0, eta=1.0, tau=0.05)
-_RELATIVE = IterationParams(gamma=2.0, eta=1.0, a=-1.0)
 
 
 def _bench_case(dims, phantom, rank, lines, kind, schedule, **kw):
@@ -262,24 +262,7 @@ def _bench_case(dims, phantom, rank, lines, kind, schedule, **kw):
     return forward(truth, spec), spec, schedule, t, kw
 
 
-def _random_case(spec, kind, schedule, **kw):
-    """Random data on ``spec`` and a transform of ``kind``, as :func:`_bench_case` gives them."""
-    rng = np.random.default_rng(49)
-    t = random_transform(rng, kind, spec.dims[2])
-    return random_kspace(rng, spec), spec, schedule, t, kw
-
-
-def _per_entry_transforms_case():
-    rng = np.random.default_rng(50)
-    schedule = [
-        IterationParams(gamma=1.0, eta=eta, tau=0.05, transform=random_transform(rng, kind, 4))
-        for kind, eta in (("dct", 0.5), ("matrix", 1.5), ("identity", 1.0))
-    ]
-    schedule.append(IterationParams(gamma=3.0, eta=1.0, a=-1.5))
-    return _random_case(gen_vds_mask(8, 6, 4, accel=2.0, seed=14), "fft", schedule * 3)
-
-
-_ORACLE_CASES = {
+_BENCH_CASES = {
     "cine_fft_128": lambda: _bench_case(
         (128, 128, 16), "moving_ellipse", 2, 24, "fft", [_BENCH_CLASSIC] * 6,
         report_lambda=0.03,
@@ -292,37 +275,74 @@ _ORACLE_CASES = {
         (64, 64, 8), "moving_ellipse", 2, 16, "fft", [_BENCH_CLASSIC] * 150,
         rel_tol=1e-4, report_lambda=0.03,
     ),
-    "identity-relative": lambda: _random_case(
-        gen_vds_mask(8, 7, 3, accel=2.0, seed=8), "identity", [_RELATIVE] * 3
-    ),
-    "n3=1": lambda: _random_case(
-        gen_vds_mask(9, 8, 1, accel=2.0, seed=9), "fft", [_ABSOLUTE, _RELATIVE] * 4
-    ),
-    "odd-dct-relative-vector": lambda: _random_case(
-        gen_vds_mask(9, 13, 5, accel=2.5, seed=10), "dct",
-        [IterationParams(gamma=5.0, eta=1.0, a=np.linspace(-3.0, 0.0, 5))] * 8,
-    ),
-    "rectangular-tau-vector": lambda: _random_case(
-        gen_pseudo_radial_mask(12, 7, 4, 3, seed=11), "identity",
-        [IterationParams(gamma=1.0, eta=1.0, tau=[0.02, 0.05, 0.1, 0.2])] * 8,
-    ),
-    "empty-mask": lambda: _random_case(
-        SamplingSpec(np.zeros((3, 6, 5), dtype=bool)), "fft", [_ABSOLUTE, _RELATIVE] * 2
-    ),
-    "full-mask-rel_tol": lambda: _random_case(
-        SamplingSpec(np.ones((3, 6, 5), dtype=bool)), "dct", [_ABSOLUTE] * 100, rel_tol=1e-6
-    ),
-    "gamma=0": lambda: _random_case(
-        gen_vds_mask(8, 8, 4, accel=2.0, seed=12), "fft",
-        [IterationParams(gamma=0.0, eta=1.0, tau=0.05), _ABSOLUTE,
-         IterationParams(gamma=0.0, eta=1.0, a=-1.0)] * 3,
-    ),
-    "per-entry-transforms": _per_entry_transforms_case,
-    "matrix-threads=2": lambda: _random_case(
-        gen_vds_mask(10, 9, 6, accel=2.0, seed=13), "matrix", [_RELATIVE, _ABSOLUTE] * 4,
-        threads=2,
-    ),
 }
+
+
+def _without_time(history):
+    return [dataclasses.replace(s, elapsed_ms=0.0) for s in history]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Case:
+    """A solver case whose data and transforms :meth:`inputs` draws from ``seed``.
+
+    ``mask`` is the sampled share of the grid, each entry is ``(gamma, eta,
+    tau, a, kind of its own transform or None)`` and ``order`` lists the
+    entry of each iteration.
+    """
+
+    dims: tuple
+    kind: str
+    mask: float
+    zero_data: bool
+    entries: tuple
+    order: tuple
+    record_history: bool = True
+    rel_tol: float = 0.0
+    report_lambda: float = 0.0
+    seed: int = 0
+
+    def inputs(self):
+        rng = np.random.default_rng(self.seed)
+        nx, ny, nt = self.dims
+        spec = SamplingSpec(rng.random((nt, nx, ny)) < self.mask)
+        b = KSpaceVector(np.zeros(spec.m), spec) if self.zero_data else random_kspace(rng, spec)
+        t = random_transform(rng, self.kind, nt)
+        params = [IterationParams(gamma, eta, tau, a, kind and random_transform(rng, kind, nt))
+                  for gamma, eta, tau, a, kind in self.entries]
+        return b, spec, [params[i] for i in self.order], t
+
+
+@st.composite
+def _solver_cases(draw):
+    dims = (draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.integers(1, 6)))
+
+    def scalar_or_per_slice(values):
+        one = st.sampled_from(values)
+        return draw(one | st.lists(one, min_size=dims[2], max_size=dims[2]).map(tuple))
+
+    entries = []
+    for _ in range(draw(st.integers(1, 4))):
+        gamma, eta = draw(st.sampled_from((0.0, 0.5, 10.0))), draw(st.sampled_from((1.0, 0.5, 1.3)))
+        if draw(st.booleans()):
+            tau, a = None, scalar_or_per_slice((-40.0, -2.0, 0.0, 40.0))
+        else:
+            tau, a = scalar_or_per_slice((0.0, 0.3, 1.0, 3.0)), None
+        entries.append((gamma, eta, tau, a, draw(st.none() | st.sampled_from(KINDS))))
+    order = draw(st.lists(st.integers(0, len(entries) - 1), min_size=1, max_size=8))
+    return _Case(
+        dims, draw(st.sampled_from(KINDS)), draw(st.sampled_from((0.0, 1.0)) | st.floats(0.1, 0.9)),
+        zero_data=draw(st.booleans()), entries=tuple(entries), order=tuple(order),
+        record_history=draw(st.booleans()), report_lambda=draw(st.sampled_from((0.0, 0.1))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+# Entries of the pinned cases.
+_ABSOLUTE = (2.0, 1.0, 0.05, None, None)
+_RELATIVE = (2.0, 1.0, None, -1.0, None)
+_CLASSIC = (1.0, 1.0, 0.1, None, None)  # lambda = 0.1, mu = 1
+_GAMMA0_A4 = (0.0, 1.0, None, (-3.0, -5 / 3, -1 / 3, 1.0), None)
 
 
 class TestInPlaceAliasing:
@@ -346,11 +366,14 @@ class TestInPlaceAliasing:
                 assert not np.shares_memory(tensor.slices, z2.slices), kind
             assert frobenius_norm(z) < frobenius_norm(x), kind
 
-    @pytest.mark.parametrize("case", list(_ORACLE_CASES))
-    def test_relative_solve_leaves_iterates_alone(self, case):
-        # The k-space solve equals the image-space loop written out with
-        # public steps, each of which returns a new tensor, and leaves b alone.
-        b, spec, schedule, t, kw = _ORACLE_CASES[case]()
+
+class TestImageSpaceLoop:
+    # The k-space solve equals the image-space loop written out with
+    # public steps, each of which returns a new tensor.
+
+    @pytest.mark.parametrize("case", list(_BENCH_CASES))
+    def test_benchmark_configs_match(self, case):
+        b, spec, schedule, t, kw = _BENCH_CASES[case]()
         saved = b.values.copy()
         report = solve_generalized(b, spec, schedule, t, **kw)
         x, iterations, history = _image_space_solve(
@@ -368,6 +391,54 @@ class TestInPlaceAliasing:
                 assert abs(stats.primal_residual - primal) <= 1e-12 * size
         assert np.array_equal(b.values, saved)
         assert not b.values.flags.writeable
+
+    # Pinned cases reach past the draws: grids past 9, eta 1.5, a = -50, a rel_tol stop.
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(case=_solver_cases())
+    @example(case=_Case((8, 7, 3), "identity", 0.5, False, (_RELATIVE,), (0,) * 3))
+    @example(case=_Case((9, 8, 1), "fft", 0.5, False, (_ABSOLUTE, _RELATIVE), (0, 1) * 4))
+    @example(case=_Case((9, 13, 5), "dct", 0.4, False,
+                        ((5.0, 1.0, None, tuple(np.linspace(-3.0, 0.0, 5)), None),), (0,) * 8))
+    @example(case=_Case((12, 7, 4), "identity", 0.3, False,
+                        ((1.0, 1.0, (0.02, 0.05, 0.1, 0.2), None, None),), (0,) * 8))
+    @example(case=_Case((6, 5, 3), "fft", 0.0, False, (_ABSOLUTE, _RELATIVE), (0, 1) * 2))
+    @example(case=_Case((6, 5, 3), "dct", 1.0, False, (_ABSOLUTE,), (0,) * 100, rel_tol=1e-6))
+    @example(case=_Case((8, 8, 4), "fft", 0.5, False, (
+        (0.0, 1.0, 0.05, None, None), _ABSOLUTE, (0.0, 1.0, None, -1.0, None)), (0, 1, 2) * 3))
+    @example(case=_Case((8, 6, 4), "fft", 0.5, False, (
+        (1.0, 0.5, 0.05, None, "dct"), (1.0, 1.5, 0.05, None, "matrix"),
+        (1.0, 1.0, 0.05, None, "identity"), (3.0, 1.0, None, -1.5, None)), (0, 1, 2, 3) * 3))
+    @example(case=_Case((10, 9, 6), "matrix", 0.5, False, (_RELATIVE, _ABSOLUTE), (0, 1) * 4))
+    @example(case=_Case((8, 8, 2), "fft", 0.5, True, (_CLASSIC,), (0,) * 3, report_lambda=0.1))
+    @example(case=_Case((4, 4, 1), "fft", 1.0, True, (_CLASSIC,), (0,) * 2, record_history=False))
+    @example(case=_Case((10, 8, 4), "dct", 0.5, False, (_GAMMA0_A4,), (0,), record_history=False))
+    @example(case=_Case((6, 5, 1), "dct", 1.0, False, ((0.0, 1.0, None, -3.0, None),), (0,)))
+    @example(case=_Case((6, 5, 4), "dct", 1.0, True, (_GAMMA0_A4,), (0,), record_history=False))
+    @example(case=_Case((10, 8, 4), "fft", 0.5, False, ((0.0, 1.0, None, -50.0, None),), (0,)))
+    @example(case=_Case((10, 8, 4), "fft", 0.5, False,
+                        ((1.0, 1.0, 0.05, None, "dct"), (1.0, 1.0, 0.05, None, None)), (0, 1)))
+    def test_drawn_cases_match(self, case):
+        # threads=2 equals threads=0 bit for bit, and both match the loop to
+        # 1e-12 of the input scale: near a saturated sigmoid, sigma - tau
+        # cancels, so the output's own norm is too small a scale.
+        b, spec, schedule, t = case.inputs()
+        args = (b, spec, schedule, t, case.rel_tol, case.record_history, case.report_lambda)
+        report, threaded = (solve_generalized(*args, threads) for threads in (0, 2))
+        assert np.array_equal(threaded.reconstruction.slices, report.reconstruction.slices)
+        assert threaded.iterations_run == report.iterations_run
+        assert _without_time(threaded.history) == _without_time(report.history)
+        x, iterations, history = _image_space_solve(*args[:5], case.report_lambda)
+        b_norm = float(np.linalg.norm(b.values))
+        tol, fidelity_tol = 1e-12 * max(frobenius_norm(x), b_norm), 1e-12 * 0.5 * b_norm**2
+        assert report.iterations_run == iterations
+        assert frobenius_norm(report.reconstruction - x) <= tol
+        assert len(report.history) == (iterations if case.record_history else 0)
+        assert [s.iteration for s in report.history] == list(range(1, len(report.history) + 1))
+        for stats, (objective, fidelity, nuclear, primal) in zip(report.history, history):
+            assert abs(stats.objective - objective) <= fidelity_tol + case.report_lambda * tol
+            assert abs(stats.fidelity - fidelity) <= fidelity_tol
+            assert abs(stats.ttnn - nuclear) <= tol
+            assert abs(stats.primal_residual - primal) <= tol
 
 
 class TestWorkingSet:
@@ -405,17 +476,6 @@ class TestWorkingSet:
 
 
 class TestSolve:
-    def test_zero_data_gives_zero(self):
-        spec = gen_vds_mask(8, 8, 2, accel=2.0, seed=6)
-        b = KSpaceVector(np.zeros(spec.m), spec)
-        config = AdmmConfig(
-            lam=0.1, mu=1.0, transform=make_transform("fft", 2), max_iters=3,
-            rel_tol=0.0,
-        )
-        report = solve(b, spec, config)
-        assert frobenius_norm(report.reconstruction) == 0.0
-        assert report.history[0].objective == 0.0
-
     def test_full_mask_noiseless_near_exact(self):
         rng = np.random.default_rng(14)
         spec = SamplingSpec(np.ones((4, 8, 8), dtype=bool))
@@ -453,15 +513,6 @@ class TestSolve:
         )
         report = solve(b, spec, config)
         assert report.iterations_run < 300
-
-    def test_record_history_off(self):
-        spec = SamplingSpec(np.ones((1, 4, 4), dtype=bool))
-        b = KSpaceVector(np.zeros(spec.m), spec)
-        config = AdmmConfig(
-            lam=0.1, mu=1.0, transform=make_transform("fft", 1), max_iters=2,
-            rel_tol=0.0, record_history=False,
-        )
-        assert solve(b, spec, config).history == []
 
     def test_determinism(self):
         spec = gen_vds_mask(10, 10, 2, accel=2.0, seed=8)
@@ -626,10 +677,7 @@ class TestSolveGeneralized:
         )
         assert classic.iterations_run == general.iterations_run < iters
 
-        def without_time(history):
-            return [dataclasses.replace(s, elapsed_ms=0.0) for s in history]
-
-        assert without_time(classic.history) == without_time(general.history)
+        assert _without_time(classic.history) == _without_time(general.history)
 
     @pytest.mark.parametrize("route", ["solve", "solve_generalized"])
     def test_transform_size_mismatch(self, route):
@@ -664,35 +712,6 @@ class TestSolveGeneralized:
             if svals[k].max() > 0:
                 assert z_svals[k].max() > 0
 
-    @pytest.mark.parametrize("threads", [0, 2])
-    @pytest.mark.parametrize("case", ["phantom", "n3=1", "zero"])
-    def test_relative_step_is_tsvt_at_relative_thresholds(self, case, threads):
-        # With gamma = 0 the first data step returns the relaxed Z - L with
-        # L = 0, so the reconstruction is the relative shrinkage of the
-        # zero-filled start, over-relaxed against that start.
-        if case == "phantom":
-            spec, _, b = self._setup(seed=26)
-        else:
-            nt = 1 if case == "n3=1" else 4
-            spec = SamplingSpec(np.ones((nt, 6, 5), dtype=bool))
-            rng = np.random.default_rng(26)
-            x = rand_tensor(rng, spec.dims) if case == "n3=1" else ComplexTensor3.zeros(spec.dims)
-            b = forward(x, spec)
-        nt = spec.dims[2]
-        t = make_transform("dct", nt)
-        a = np.linspace(-3.0, 1.0, nt)
-        y = adjoint(b)
-        alpha = admm.RELAXATION
-        expected = alpha * t_tsvt(y, relative_thresholds(y, a, t), t) + (1 - alpha) * y
-        report = solve_generalized(
-            b, spec, [IterationParams(gamma=0.0, eta=1.0, a=a)], t,
-            record_history=False, threads=threads,
-        )
-        dev = frobenius_norm(report.reconstruction - expected)
-        assert dev <= 1e-12 * frobenius_norm(expected)
-        if case == "zero":
-            assert frobenius_norm(report.reconstruction) == 0.0
-
     @pytest.mark.parametrize("a, error, match", [
         ([-2.0, -2.0, -2.0], DimensionError, "relative weight vector has shape"),
         (float("nan"), ParameterError, "relative weights must not be NaN"),
@@ -721,27 +740,6 @@ class TestSolveGeneralized:
         ]
         for a in weights:
             assert np.array_equal(relative_thresholds(y, a, t), expit(a) * svals_max)
-
-    def test_relative_mode_weight_limits(self):
-        spec, _, b = self._setup(seed=19)
-        t = make_transform("fft", 4)
-        schedule = [IterationParams(gamma=0.0, eta=1.0, a=-50.0)]
-        report = solve_generalized(b, spec, schedule, t)
-        # sigmoid(-50) vanishes, so the single step is an identity prox of
-        # the zero-filled start.
-        x0 = adjoint(b)
-        assert frobenius_norm(report.reconstruction - x0) <= 1e-9 * frobenius_norm(x0)
-
-    def test_per_iteration_transforms(self):
-        spec, _, b = self._setup(seed=20)
-        t_fft = make_transform("fft", 4)
-        t_dct = make_transform("dct", 4)
-        schedule = [
-            IterationParams(gamma=1.0, eta=1.0, tau=0.05, transform=t_dct),
-            IterationParams(gamma=1.0, eta=1.0, tau=0.05),
-        ]
-        report = solve_generalized(b, spec, schedule, t_fft)
-        assert report.iterations_run == 2
 
     def test_empty_schedule(self):
         spec, _, b = self._setup(seed=21)

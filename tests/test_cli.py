@@ -29,7 +29,7 @@ from ttmri import (
     solve_generalized,
     sum_rank,
 )
-from ttmri import cli, tsvd
+from ttmri import cli, fileio, tsvd
 from ttmri.cli import ConfigError, main
 from ttmri.fileio import load_kspace, load_mask, load_tensor, save_tensor, save_transform_matrix
 
@@ -205,6 +205,18 @@ class TestReconCommand:
         assert run("recon", "--kspace", kspace, "--mask", other, "--config", cfg,
                    "--out", tmp_path / "r.t2t") == 3
         assert "does not match mask count" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r.t2t*"))
+
+    def test_non_finite_kspace_sample_is_data_error(self, pipeline, capsys, x_step_calls):
+        tmp_path, _, mask, kspace = pipeline
+        with open(kspace, "r+b") as fh:  # the real part of sample 5
+            fh.seek(fileio._KSPACE_HEADER.size + 5 * 16)
+            fh.write(np.float64(np.nan).tobytes())
+        cfg = write_config(tmp_path / "cfg.json")
+        assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
+                   "--out", tmp_path / "r.t2t") == 3
+        assert f"{kspace}: sample 5 is not finite" in capsys.readouterr().err
+        assert x_step_calls == []
         assert not list(tmp_path.glob("r.t2t*"))
 
     def test_integer_beyond_the_digit_limit_is_data_error(self, pipeline, capsys):

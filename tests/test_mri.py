@@ -395,6 +395,12 @@ class TestSamplingSpec:
         with pytest.raises(ParameterError):
             SamplingSpec(np.full((1, 2, 2), 3))
 
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (2, 0, 4), (2, 4, 0)])
+    def test_zero_length_axis_rejected(self, shape):
+        # Its adjoint would be a tensor with a zero dimension, which no tensor can have.
+        with pytest.raises(DimensionError, match="all dimensions must be positive"):
+            SamplingSpec(np.zeros(shape, dtype=bool))
+
     def test_zero_one_array_accepted(self):
         spec = SamplingSpec(np.eye(3, dtype=np.uint8)[None, :, :].repeat(2, axis=0))
         assert spec.m == 6

@@ -209,16 +209,6 @@ class TestTtSvd:
             atol=1e-12,
         )
 
-    def test_threads_match_sequential(self):
-        rng = np.random.default_rng(10)
-        x = rand_tensor(rng, (6, 5, 4))
-        t = make_transform("fft", 4)
-        seq = tt_svd(x, t, threads=0)
-        par = tt_svd(x, t, threads=2)
-        assert np.array_equal(seq.U.slices, par.U.slices)
-        assert np.array_equal(seq.S.slices, par.S.slices)
-        assert np.array_equal(seq.V.slices, par.V.slices)
-
 
 class TestRanks:
     def test_identity_tensor_full_rank(self):
@@ -377,14 +367,6 @@ class TestTsvt:
     def test_ttnn_convexity_probe(self):
         _, convexity, _ = checks._probe_prox(np.random.default_rng(23), 20, ((4, 5), (5, 6), (3, 4)))
         assert convexity <= 1e-10
-
-    def test_threads_match_sequential(self):
-        rng = np.random.default_rng(24)
-        x = rand_tensor(rng, (6, 5, 4))
-        t = make_transform("fft", 4)
-        assert np.array_equal(
-            t_tsvt(x, 0.4, t, threads=0).slices, t_tsvt(x, 0.4, t, threads=2).slices
-        )
 
 
 def test_singular_values_shape_and_order():
