@@ -294,6 +294,11 @@ def _cmd_recon(args):
     spec = _load_spec(args.mask)
     values, _ = fileio.load_kspace(_require_file(args.kspace, "k-space"))
     b = mri.KSpaceVector._wrap(values, spec)
+    inputs = {"kspace": str(args.kspace), "mask": str(args.mask)}
+    if args.ref:  # checked before any iteration runs or any file is written
+        ref = fileio.load_tensor(_require_file(args.ref, "reference"))
+        mri._check_reference(spec.dims, ref)
+        inputs["ref"] = str(args.ref)
     mode, seed, solver = _parse_recon_config(_require_file(args.config, "config"), spec.dims[2])
     report = solver(b, spec, threads=args.threads)
     fileio.save_tensor(args.out, report.reconstruction)
@@ -302,11 +307,8 @@ def _cmd_recon(args):
     outputs = [args.out, history_path]
     if args.frames_out:
         outputs.extend(fileio.dump_frames_pgm(args.frames_out, report.reconstruction))
-    inputs = {"kspace": str(args.kspace), "mask": str(args.mask)}
     if args.ref:
-        ref = fileio.load_tensor(_require_file(args.ref, "reference"))
         print(f"SNR_dB: {_format_snr(mri.snr(report.reconstruction, ref))}")
-        inputs["ref"] = str(args.ref)
     outside_svd, svd = tsvd._blas_thread_counts()
     params = {
         "mode": mode, "config": str(args.config), "iterations_run": report.iterations_run,

@@ -11,9 +11,12 @@ mask that produced the samples travels in a sidecar text file at
 ``<path>.mask``.
 
 A load checks the header and the payload length, then reads the payload
-once, into the array it returns. A k-space load also checks that every
-sample is finite and names the first one that is not, so a NaN fails as
-a data error before any iteration, not later in the solver's SVD. A save
+once, into the array it returns. A complex tensor load and a k-space
+load also check that every entry or sample is finite and name the first
+one that is not, by its flat index in storage order, so a NaN fails as a
+data error before any iteration or output, not later in the solver's SVD.
+A transform matrix is read without that check: its unitarity check
+rejects a non-finite entry as a numeric error. A save
 writes the header and the payload in turn to a temporary file in the
 target directory, renamed into place.
 """
@@ -107,6 +110,13 @@ def _read(path, header: struct.Struct, magic: bytes, rule):
 _TENSOR_TAGS = {DTYPE_COMPLEX128: ("<c16", "a complex tensor"), DTYPE_UINT8: ("u1", "a mask")}
 
 
+def _check_finite(path, data: np.ndarray, what: str):
+    """Raise a DataFormatError naming the first non-finite entry of ``data``, a ``what``."""
+    finite = np.isfinite(data)
+    if not finite.all():
+        raise DataFormatError(f"{path}: {what} {int(np.argmin(finite))} is not finite")
+
+
 def _read_tensor_file(path, tag: int) -> np.ndarray:
     """The ``(n3, n1, n2)`` payload of a T2T1 file whose dtype tag must be ``tag``."""
 
@@ -129,8 +139,10 @@ def save_tensor(path, x: ComplexTensor3):
 
 
 def load_tensor(path) -> ComplexTensor3:
-    """Read a complex tensor from a T2T1 file."""
-    return ComplexTensor3._wrap(_read_tensor_file(path, DTYPE_COMPLEX128))
+    """Read a complex tensor from a T2T1 file; every entry must be finite."""
+    data = _read_tensor_file(path, DTYPE_COMPLEX128)
+    _check_finite(path, data, "entry")
+    return ComplexTensor3._wrap(data)
 
 
 def save_mask(path, spec_or_mask):
@@ -166,9 +178,7 @@ def load_kspace(path):
     through :class:`KSpaceVector` once the mask is loaded.
     """
     values = _read(path, _KSPACE_HEADER, KSPACE_MAGIC, lambda m: ("<c16", (m,)))
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise DataFormatError(f"{path}: sample {int(np.argmin(finite))} is not finite")
+    _check_finite(path, values, "sample")
     sidecar = Path(f"{path}.mask")
     try:
         mask_path = sidecar.read_text().strip() if sidecar.exists() else None
@@ -186,14 +196,17 @@ def save_transform_matrix(path, matrix):
 
 
 def load_transform_matrix(path) -> np.ndarray:
-    """Read an ``n x n`` transform matrix from a 1-slice T2T1 tensor."""
-    t = load_tensor(path)
-    n1, n2, n3 = t.dims
+    """Read an ``n x n`` transform matrix from a 1-slice T2T1 tensor.
+
+    Non-finite entries are left to the unitarity check of ``make_transform``.
+    """
+    data = _read_tensor_file(path, DTYPE_COMPLEX128)
+    n3, n1, n2 = data.shape
     if n3 != 1 or n1 != n2:
         raise DataFormatError(
             f"{path}: transform matrices are square 1-slice tensors, got dims ({n1}, {n2}, {n3})"
         )
-    return t.frontal_slice(1).copy()
+    return data[0]
 
 
 def write_pgm(path, frame: np.ndarray, global_max: float):

@@ -353,16 +353,22 @@ def gen_vds_mask(nx: int, ny: int, nt: int, accel: float, seed: int) -> Sampling
     return SamplingSpec(mask, seed=seed, descriptor=descriptor)
 
 
+def _check_reference(dims, ref: ComplexTensor3) -> float:
+    """The norm of ``ref``, an SNR reference: it must be nonzero and of ``dims``."""
+    if dims != ref.dims:
+        raise DimensionError(f"dimension mismatch: {dims} vs {ref.dims}")
+    ref_norm = float(np.linalg.norm(ref.slices))
+    if ref_norm == 0.0:
+        raise ParameterError("reference tensor is identically zero")
+    return ref_norm
+
+
 def snr(rec: ComplexTensor3, ref: ComplexTensor3) -> float:
     """Signal-to-noise ratio ``20 log10(||ref|| / ||rec - ref||)`` in dB.
 
     Returns ``inf`` when the two tensors agree exactly.
     """
-    if rec.dims != ref.dims:
-        raise DimensionError(f"dimension mismatch: {rec.dims} vs {ref.dims}")
-    ref_norm = float(np.linalg.norm(ref.slices))
-    if ref_norm == 0.0:
-        raise ParameterError("reference tensor is identically zero")
+    ref_norm = _check_reference(rec.dims, ref)
     err = float(np.linalg.norm(rec.slices - ref.slices))
     if err == 0.0:
         return math.inf

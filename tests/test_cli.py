@@ -219,6 +219,23 @@ class TestReconCommand:
         assert x_step_calls == []
         assert not list(tmp_path.glob("r.t2t*"))
 
+    @pytest.mark.parametrize("dims, code, message", [
+        ((8, 8, 8), 3, "dimension mismatch: (16, 16, 4) vs (8, 8, 8)"),
+        ((16, 16, 4), 2, "reference tensor is identically zero"),
+    ], ids=["other-dims", "zero"])
+    def test_bad_reference_rejected_before_any_iteration(self, pipeline, capsys, x_step_calls,
+                                                         dims, code, message):
+        tmp_path, _, mask, kspace = pipeline
+        ref = tmp_path / "ref.t2t"
+        tensor = rand_tensor(np.random.default_rng(0), dims)
+        save_tensor(ref, tensor if code == 3 else ComplexTensor3.zeros(dims))
+        cfg = write_config(tmp_path / "cfg.json")
+        assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
+                   "--ref", ref, "--out", tmp_path / "r.t2t") == code
+        assert message in capsys.readouterr().err
+        assert x_step_calls == []
+        assert not list(tmp_path.glob("r.t2t*"))
+
     def test_integer_beyond_the_digit_limit_is_data_error(self, pipeline, capsys):
         # Python's JSON reader refuses integers of more than 4300 digits.
         tmp_path, _, mask, kspace = pipeline
@@ -588,6 +605,29 @@ def test_check_runs_without_scipy():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "17/17 checks passed" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["forward", "metrics", "tsvd", "recon"])
+def test_non_finite_tensor_entry_is_data_error(pipeline, capsys, x_step_calls, command):
+    # One NaN, the real part of entry 37, in each command's tensor input.
+    tmp_path, phantom, mask, kspace = pipeline
+    bad = tmp_path / "nan.t2t"
+    bad.write_bytes(phantom.read_bytes())
+    with open(bad, "r+b") as fh:
+        fh.seek(fileio._TENSOR_HEADER.size + 37 * 16)
+        fh.write(np.float64(np.nan).tobytes())
+    out = tmp_path / "out"
+    argv = {
+        "forward": ["--image", bad, "--mask", mask],
+        "metrics": ["--rec", bad, "--ref", phantom],
+        "tsvd": ["--tensor", bad],
+        "recon": ["--kspace", kspace, "--mask", mask,
+                  "--config", write_config(tmp_path / "cfg.json"), "--ref", bad],
+    }[command]
+    assert run(command, *argv, "--out", out) == 3
+    assert f"{bad}: entry 37 is not finite" in capsys.readouterr().err
+    assert x_step_calls == []
+    assert not list(tmp_path.glob("out*"))
 
 
 @pytest.mark.parametrize("target", ["config", "sidecar"])
