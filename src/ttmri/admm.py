@@ -122,8 +122,9 @@ class IterationStats:
     """One iteration of a solve's history.
 
     ``primal_residual`` is ``||Z - X||`` with ``Z`` the shrinkage output
-    before over-relaxation. ``elapsed_ms`` times the shrink, the x-step
-    and the multiplier update. It excludes the iteration's statistics,
+    before over-relaxation. ``elapsed_ms`` times the iteration's one
+    ``_iterate`` call: the shrink, the relaxation, the x-step and the
+    multiplier update. It excludes the iteration's statistics,
     mainly the SVD of ``ttnn(X)``: about 30% of an iteration's wall time
     at 128x128x16 on 2 cores.
     """
@@ -229,24 +230,43 @@ def relative_thresholds(
     return weights * svals.max(axis=1)
 
 
-def _over_relax(z: np.ndarray, x: np.ndarray, index: np.ndarray, alpha: float) -> float:
-    """Overwrite ``z`` with ``x + alpha (z - x)`` off the grid entries ``index``.
+def _iterate(state, b: KSpaceVector, index: np.ndarray, transform: UnitaryTransform,
+             taus: np.ndarray, params: IterationParams, threads: int):
+    """One iteration in k-space: the shrink, the relaxation, the x-step and the multiplier update.
 
-    Returns ``||z - x||`` over the entries off ``index``, where ``z`` is
-    the input; at ``index`` the output holds ``x``. No array is allocated.
+    ``state`` is ``(grid, x_s, l_s)``: X in k-space, which is consumed, and
+    X and L on the grid entries ``index``, the samples. ``taus`` are the
+    thresholds, or the sigmoid weights if ``params.a`` is set. Returns the
+    new state and ``(off, alpha, ||z_s - x_new||, rel)``, with ``off`` =
+    ``||Z - X_old||`` off the samples and ``rel`` the relative change of X.
     """
-    z -= x
+    grid, x_s, l_s = state
+    grid.reshape(-1)[index] = x_s + l_s  # grid is Y = X + L
+    y = ComplexTensor3._wrap(grid.view())
+    if params.tau is not None:
+        z = t_tsvt(y, taus, transform, threads=threads).slices
+    else:  # taus are sigmoid weights: slice k's threshold is taus[k] * its top sigma
+        z = _shrink(transform.apply(y), transform, threads, lambda k, s: taus[k] * s[0]).slices
+    z.flags.writeable = True  # a fresh array that this step alone holds
+    z_s = z.reshape(-1)[index]
+    grid.reshape(-1)[index] = x_s  # grid is X_old
+    # Relaxation is proven for eta = 1 only: at eta = 1.5 and alpha = 1.8 the loop diverges.
+    alpha = RELAXATION if params.eta == 1.0 else 1.0
+    # Off the mask z becomes Zr, which is X_new there, in place; off is ||Z - X_old|| there.
+    z -= grid
     z.reshape(-1)[index] = 0
     off = float(np.linalg.norm(z))
     z *= alpha
-    z += x
-    return off
-
-
-def _relative_change(delta: float, denom: float) -> float:
-    if denom == 0.0:
-        return 0.0 if delta == 0.0 else np.inf
-    return delta / denom
+    z += grid
+    zr_s = x_s + alpha * (z_s - x_s)
+    x_new = _sampled_x(zr_s - l_s, b.values, params.gamma)
+    z.reshape(-1)[index] = x_new  # z is X_new
+    change = math.hypot(alpha * off, float(np.linalg.norm(x_new - x_s)))
+    size = float(np.linalg.norm(grid))
+    rel = change / size if size else (0.0 if change == 0.0 else math.inf)
+    zr_s -= x_new  # Zr - X_new in place: one m-vector fewer at the peak
+    l_new = np.subtract(l_s, params.eta * zr_s, out=zr_s)
+    return (z, x_new, l_new), (off, alpha, float(np.linalg.norm(z_s - x_new)), rel)
 
 
 def solve(
@@ -336,36 +356,15 @@ def solve_generalized(
     # grid is X in k-space between iterations; L is zero off the samples l_s,
     # since there Zr is X_new and the multiplier update adds 0.
     index = spec._grid_index()
-    x_s, l_s = b.values, np.zeros(spec.m, dtype=np.complex128)
-    grid = spec.scatter(b.values)
+    grid, x_s, l_s = spec.scatter(b.values), b.values, np.zeros(spec.m, dtype=np.complex128)
     history: list[IterationStats] = []
     for n, params in enumerate(schedule, start=1):
         transform, taus = checked[id(params)]
         tic = time.perf_counter()
-        grid.reshape(-1)[index] = x_s + l_s  # grid is Y = X + L
-        y = ComplexTensor3._wrap(grid.view())
-        if params.tau is not None:
-            z = t_tsvt(y, taus, transform, threads=threads).slices
-        else:  # taus are sigmoid weights: slice k's threshold is taus[k] * its top sigma
-            z = _shrink(transform.apply(y), transform, threads, lambda k, s: taus[k] * s[0]).slices
-        del y  # y views grid: let grid go once it is spent
-        z.flags.writeable = True  # a fresh array that the loop alone holds
-        z_s = z.reshape(-1)[index]
-        grid.reshape(-1)[index] = x_s  # grid is X_old
-        # Relaxation is proven for a unit multiplier step only: at eta = 1.5
-        # and alpha = 1.8 the loop diverges.
-        alpha = RELAXATION if params.eta == 1.0 else 1.0
-        # Off the mask z becomes Zr, which is X_new there; off is ||Z - X_old|| there.
-        off = _over_relax(z, grid, index, alpha)
-        zr_s = x_s + alpha * (z_s - x_s)
-        x_new = _sampled_x(zr_s - l_s, b.values, params.gamma)
-        z.reshape(-1)[index] = x_new  # z is X_new
-        change = math.hypot(alpha * off, float(np.linalg.norm(x_new - x_s)))
-        rel = _relative_change(change, float(np.linalg.norm(grid)))
-        grid, x_s = z, x_new
-        l_s = l_s - params.eta * (zr_s - x_s)
+        (grid, x_s, l_s), (off, alpha, dz, rel) = _iterate(
+            (grid, x_s, l_s), b, index, transform, taus, params, threads)
         elapsed_ms = (time.perf_counter() - tic) * 1e3
-        if not all(np.isfinite(v).all() for v in (grid, z_s, x_s, l_s)):
+        if not all(np.isfinite(v).all() for v in (grid, x_s, l_s)):
             raise DivergenceError(f"non-finite iterate at iteration {n}", iteration=n)
         if record_history:
             fidelity = 0.5 * float(np.linalg.norm(x_s - b.values) ** 2)
@@ -374,7 +373,7 @@ def solve_generalized(
             if not np.isfinite(objective):
                 raise DivergenceError(f"non-finite objective at iteration {n}", iteration=n)
             # Off the mask Z - X_new is (1 - alpha) (Z - X_old).
-            primal = math.hypot((alpha - 1.0) * off, float(np.linalg.norm(z_s - x_s)))
+            primal = math.hypot((alpha - 1.0) * off, dz)
             history.append(IterationStats(n, objective, fidelity, nuclear, primal, elapsed_ms))
         if rel < rel_tol:
             break

@@ -322,6 +322,9 @@ def gen_vds_mask(nx: int, ny: int, nt: int, accel: float, seed: int) -> Sampling
     ``0.25 * min(nx, ny)``), scaled so the expected per-frame sample count
     is ``nx * ny / accel``; probabilities cap at 1, which clamps toward
     full sampling as ``accel`` approaches 1. The DC bin is always sampled.
+    The density is floored at the smallest normal float, so a narrow grid
+    (aspect ratio about 19:1 or more), whose far entries would underflow
+    to 0, still meets the expected count.
     """
     _check_sizes(nx, ny, nt)
     _check_seed(seed)
@@ -332,7 +335,8 @@ def gen_vds_mask(nx: int, ny: int, nt: int, accel: float, seed: int) -> Sampling
     ii = np.arange(nx)[:, None] - ci
     jj = np.arange(ny)[None, :] - cj
     sigma = 0.25 * min(nx, ny)
-    density = np.exp(-(ii * ii + jj * jj) / (2.0 * sigma * sigma))
+    # Floored: at 0 the bisection's scale could double to inf, and inf * 0 is NaN.
+    density = np.maximum(np.exp(-(ii * ii + jj * jj) / (2.0 * sigma * sigma)), np.finfo(float).tiny)
     target = nx * ny / float(accel)
     # Bisection on the density scale so the clipped expectation hits target.
     lo, hi = 0.0, 1.0

@@ -238,16 +238,22 @@ class TestVdsMask:
         spec = gen_vds_mask(16, 16, 1, accel=1.01, seed=0)
         assert spec.m / (16 * 16) >= 0.95
 
-    def test_expected_fraction_monte_carlo(self):
-        # Popcount over 100 seeds: per-frame fraction within 10% of 1/accel.
-        nx = ny = 96
-        accel = 4.0
+    # On the narrow grid (aspect 32:1) the density underflows to 0 unless
+    # floored. Its frame holds 128 entries, so its count's binomial sd is
+    # 3.0 of 85.3: the per-seed spread bound is wider there.
+    @pytest.mark.parametrize("nx, ny, accel, spread", [
+        pytest.param(96, 96, 4.0, 0.1, id="square"),
+        pytest.param(2, 64, 1.5, 0.15, id="narrow"),
+    ])
+    def test_expected_fraction_monte_carlo(self, nx, ny, accel, spread):
+        # Popcount over 100 seeds: per-frame fraction within `spread` of
+        # 1/accel, and their mean within 1%.
         fractions = []
         for seed in range(100):
             spec = gen_vds_mask(nx, ny, 1, accel=accel, seed=seed)
             fractions.append(spec.m / (nx * ny))
         fractions = np.asarray(fractions)
-        assert np.all(np.abs(fractions - 1 / accel) <= 0.1 / accel)
+        assert np.all(np.abs(fractions - 1 / accel) <= spread / accel)
         assert abs(fractions.mean() - 1 / accel) <= 0.01 / accel
 
     def test_determinism(self):
