@@ -50,7 +50,7 @@ for kind in ("dct", "identity"):
 # Generalized solver: per-iteration hyperparameters. A continuation
 # schedule that shrinks hard at first and relaxes geometrically reaches
 # the classic solution's SNR (27.82 against 27.83 dB) in 60 steps, where
-# the classic solver stops on rel_tol after 104; gamma plays the role of
+# the classic solver stops on rel_tol after 95; gamma plays the role of
 # 1/mu and eta is the multiplier rate.
 schedule = [
     tt.IterationParams(gamma=10.0, eta=1.0, tau=float(tau))

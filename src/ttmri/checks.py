@@ -418,8 +418,8 @@ def _probe_fidelity(seed, lam, max_iters):
     """Worst relative fidelity uptick above the lam/mu floor, and final fidelity over that floor.
 
     A noiseless 12x12x4 FFT solve at mu = 1 of the rank-2 phantom under a vds mask, both of
-    ``seed``. The zero-filled start is already consistent, so fidelity lives at the shrinkage
-    noise floor: each singular value moves by <= lam/mu per iteration.
+    ``seed``. The start equals b on the samples, so fidelity lives at the shrinkage noise
+    floor: each singular value moves by <= lam/mu per iteration.
     """
     spec = mri.gen_vds_mask(12, 12, 4, accel=2.0, seed=seed)
     truth = mri.make_phantom(12, 12, 4, "low_tubal_rank", seed=seed, rank=2)

@@ -245,6 +245,21 @@ class TestReconCommand:
                    "--out", tmp_path / "r.t2t") == 3
         assert "config is not valid JSON" in capsys.readouterr().err
 
+    # The loop checks finiteness itself: an overflowing step is a DivergenceError
+    # (exit 4) under CI's warning flags too, with no numpy warning before it.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("schedule, iteration", [
+        ([{"gamma": 1e308, "eta": 1.0, "tau": 1e308}], 1),
+        ([{"gamma": 1.0, "eta": 1e308, "tau": 0.1}] * 2, 2),
+    ], ids=["huge-gamma", "huge-eta"])
+    def test_diverging_schedule_is_numeric_error(self, pipeline, capsys, schedule, iteration):
+        tmp_path, _, mask, kspace = pipeline
+        cfg = write_config(tmp_path / "cfg.json", mode="generalized", schedule=schedule)
+        assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
+                   "--out", tmp_path / "r.t2t") == 4
+        assert capsys.readouterr().err == f"error: non-finite iterate at iteration {iteration}\n"
+        assert not list(tmp_path.glob("r.t2t*"))
+
     def test_relative_schedule_runs(self, pipeline):
         tmp_path, _, mask, kspace = pipeline
         schedule = [{"gamma": 1.0, "eta": 1.0, "a": [-2.0, -2.0, -2.0, -2.0]}] * 3
