@@ -25,7 +25,6 @@ from .admm import (
     relative_thresholds,
     solve,
     solve_generalized,
-    x_update_gamma,
     z_update,
 )
 from .errors import (
@@ -95,7 +94,7 @@ __all__ = [
     "add_noise", "dc_index",
     # admm
     "AdmmConfig", "IterationParams", "IterationStats", "ReconReport",
-    "z_update", "x_update_gamma",
+    "z_update",
     "relative_thresholds", "solve", "solve_generalized",
     # errors
     "TtmriError", "DimensionError", "ParameterError", "UnitarityError",

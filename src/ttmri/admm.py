@@ -58,7 +58,6 @@ __all__ = [
     "IterationStats",
     "ReconReport",
     "z_update",
-    "x_update_gamma",
     "relative_thresholds",
     "solve",
     "solve_generalized",
@@ -164,39 +163,6 @@ def z_update(
     _check_real("mu", mu, positive=True)
     _check_real("lambda", lam)
     return t_tsvt(x_prev + l_prev, lam / mu, transform, threads=threads)
-
-
-def _check_kspace(b: KSpaceVector, spec: SamplingSpec, *tensors: ComplexTensor3):
-    if spec is not b.spec and not np.array_equal(spec.mask, b.spec.mask):
-        raise DimensionError("k-space vector is inconsistent with the sampling spec")
-    if any(t.dims != spec.dims for t in tensors):
-        raise DimensionError("tensor dims do not match the sampling spec")
-
-
-def x_update_gamma(
-    z: ComplexTensor3,
-    l_prev: ComplexTensor3,
-    b: KSpaceVector,
-    spec: SamplingSpec,
-    gamma: float,
-) -> ComplexTensor3:
-    """Data-consistency step ``(gamma A^H A + 1)^{-1}(gamma A^H b + Z - L)``.
-
-    Stable for every ``gamma >= 0``; ``gamma = 0`` returns ``Z - L``
-    exactly. ``A^H A`` is the mask in k-space: with ``k`` the centred FFT
-    of ``Z - L``, each sampled entry becomes :func:`_sampled_x` of it,
-    every other keeps ``k``. The classic step of weight ``mu`` is
-    ``gamma = 1/mu``.
-    """
-    _check_real("gamma", gamma)
-    _check_kspace(b, spec, z, l_prev)
-    if gamma == 0:
-        return z - l_prev
-    k = _centered_fft2(np.subtract(z.slices, l_prev.slices), np.fft.fft)
-    flat = k.reshape(-1)
-    sampled = spec._grid_index()
-    flat[sampled] = _sampled_x(flat[sampled], b.values, gamma)
-    return ComplexTensor3._wrap(_centered_fft2(k, np.fft.ifft))
 
 
 def _sampled_x(k: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -346,7 +312,8 @@ def solve_generalized(
     _check_real("rel_tol", rel_tol, finite=False)
     _check_real("report_lambda", report_lambda)
     _check_seed(threads, "threads")
-    _check_kspace(b, spec)
+    if spec is not b.spec and not np.array_equal(spec.mask, b.spec.mask):
+        raise DimensionError("k-space vector is inconsistent with the sampling spec")
     nt = spec.dims[2]
     checked = {}  # each distinct entry, by identity: its transform and taus (or relative weights)
     for n, params in enumerate(schedule, start=1):

@@ -322,38 +322,101 @@ def _check_full_mask_roundtrip(level):
     return ok, f"full-mask zero-filled SNR {value:.1f} dB"
 
 
-def _probe_x_update(rng, specs, mus, gammas):
-    """Worst relative residual of the normal equations ``gamma A^H A x + x = gamma A^H b + z - l``.
+# Even, odd and rectangular grids, and a single frame, as ``(nx, ny, nt)``; and the mask kinds.
+_LAYOUT_DIMS = ((8, 8, 3), (7, 9, 2), (8, 5, 3), (6, 6, 1))
+_MASK_KINDS = ("empty", "full", "random")
 
-    ``x_update_gamma`` at ``gamma = 1/mu`` for each of ``mus`` (the classic
-    step), then at each of ``gammas``, each on every one of ``specs``; every
-    case draws its own z, l and b.
+
+def _layout_mask(rng, dims, kind):
+    """An empty, a full or a random (each entry with probability 0.4) mask of ``dims``."""
+    nx, ny, nt = dims
+    if kind == "random":
+        return rng.random((nt, nx, ny)) < 0.4
+    return np.full((nt, nx, ny), kind == "full")
+
+
+def _centered_fft2_oracle(stack, inverse=False):
+    """Centred unitary 2D (inverse) FFT over the last two axes of ``stack``, through ``fft2``.
+
+    An independent path: the library's ``mri._centered_fft2`` runs one axis at a time, in place.
     """
-    worst = 0.0
-    for gamma in [1.0 / mu for mu in mus] + list(gammas):
-        for spec in specs:
-            z, l = _random_tensor(rng, spec.dims), _random_tensor(rng, spec.dims)
-            b = mri._random_kspace(rng, spec)
-            x = admm.x_update_gamma(z, l, b, spec, gamma)
-            lhs = mri.adjoint(mri.forward(x, spec)) * gamma + x
-            rhs = mri.adjoint(b) * gamma + (z - l)
-            scale = gamma * float(np.linalg.norm(b.values)) + frobenius_norm(z - l)
-            worst = max(worst, frobenius_norm(lhs - rhs) / scale)
-    return worst
+    fft2 = np.fft.ifft2 if inverse else np.fft.fft2
+    shifted = np.fft.ifftshift(stack, axes=(-2, -1))
+    return np.fft.fftshift(fft2(shifted, norm="ortho"), axes=(-2, -1))
 
 
-def _check_x_update_normal_equations(level):
-    rng = np.random.default_rng(21)
-    n_specs, n_weights = (2, 2) if level == "quick" else (3, 4)
-    seeds = rng.integers(10**6, size=n_specs)
-    specs = [mri.gen_vds_mask(10, 9, 3, accel=2.5, seed=seed) for seed in seeds]
-    mus, gammas = rng.uniform(0.1, 5.0, n_weights), rng.uniform(0.0, 5.0, n_weights)
-    worst = _probe_x_update(rng, specs, mus.tolist(), gammas.tolist())
-    return worst <= 1e-10, f"max normal-equation residual {worst:.3e}"
+def _image_space_step(x, l, b, spec, transform, params, relaxation=admm.RELAXATION):
+    """One ADMM iteration in image space, with an image-sized multiplier: ``(Z, X_new, L_new)``.
+
+    ``Z`` is ``t_tsvt`` of ``X + L`` at ``params.tau``, or at the ``relative_thresholds`` of
+    ``params.a``. With ``alpha = relaxation`` if ``params.eta`` is 1 and 1 otherwise,
+    ``Zr = alpha Z + (1 - alpha) X``; ``X_new`` solves the normal equations
+    ``(gamma A^H A + 1) X_new = gamma A^H b + Zr - L`` through :func:`_centered_fft2_oracle`,
+    and ``L_new = L - eta (Zr - X_new)``.
+    """
+    y = x + l
+    tau = params.tau if params.a is None else admm.relative_thresholds(y, params.a, transform)
+    z = tsvd.t_tsvt(y, tau, transform)
+    alpha = relaxation if params.eta == 1.0 else 1.0
+    zr = z * alpha + x * (1.0 - alpha)
+    k = _centered_fft2_oracle((zr - l).slices) + params.gamma * spec.scatter(b.values)
+    x_new = ComplexTensor3(_centered_fft2_oracle(k / (params.gamma * spec.mask + 1.0), True))
+    return z, x_new, l - (zr - x_new) * params.eta
+
+
+def _probe_step(rng, cases):
+    """Worst deviations of one ``admm._iterate`` call from :func:`_image_space_step`.
+
+    Each case ``(dims, mask kind, IterationParams)`` draws a :func:`_layout_mask`, a
+    transform of kind ``KINDS[case % 4]``, data b and a random state: a k-space grid, X on
+    the samples gathered from it and a multiplier on the samples. Returns the worst
+    deviations of X_new, of L on the samples, of L off them (where it must vanish) and of
+    the returned ``(off, dz, rel)`` with the primal residual ``||Z - X_new||`` they and
+    ``alpha`` give, each relative to ``||X|| + ||L|| + ||b||``.
+    """
+    worst = [0.0] * 4
+    for n, (dims, kind, params) in enumerate(cases):
+        spec = mri.SamplingSpec(_layout_mask(rng, dims, kind))
+        t = _random_transform(rng, KINDS[n % len(KINDS)], dims[2])
+        b = mri._random_kspace(rng, spec)
+        grid = _random_tensor(rng, dims).slices.copy()
+        x_s, l_s = spec.gather(grid), mri._random_kspace(rng, spec).values.copy()
+        x, l = map(ComplexTensor3, _centered_fft2_oracle(np.stack([grid, spec.scatter(l_s)]), True))
+        z, x_new, l_new = _image_space_step(x, l, b, spec, t, params)
+        x_k, z_k, l_k = _centered_fft2_oracle(np.stack([x_new.slices, z.slices, l_new.slices]))
+        unsampled = ~spec.mask
+        expected = (np.linalg.norm((z_k - grid)[unsampled]), np.linalg.norm((z_k - x_k)[spec.mask]),
+                    frobenius_norm(z - x_new), frobenius_norm(x_new - x))
+        (grid, x_s, l_s), (off, alpha, dz, rel) = admm._iterate(
+            (grid, x_s, l_s), b, spec._grid_index(), t, params._thresholds(dims[2]), params, 0)
+        stats = (off, dz, np.hypot((alpha - 1.0) * off, dz), rel * frobenius_norm(x))
+        devs = (max(np.linalg.norm(grid - x_k), np.linalg.norm(spec.gather(grid) - x_s)),
+                np.linalg.norm(spec.gather(l_k) - l_s), np.linalg.norm(l_k[unsampled]),
+                max(abs(got - want) for got, want in zip(stats, expected)))
+        scale = frobenius_norm(x) + frobenius_norm(l) + float(np.linalg.norm(b.values))
+        worst = [max(w, float(d) / scale) for w, d in zip(worst, devs)]
+    return tuple(worst)
+
+
+# The schedule entries of the step check: tau or a, gamma 0, 2 and 1e8, eta 1 and 0.5.
+_STEP_ENTRIES = tuple(
+    admm.IterationParams(gamma, eta, **threshold)
+    for threshold in ({"tau": 1.0}, {"a": -1.0}) for gamma in (0.0, 2.0, 1e8) for eta in (1.0, 0.5)
+)
+
+
+def _check_step(level):
+    # Each grid and mask kind takes one entry at the quick level and four at the full one.
+    # Entry i + r goes with layout i, so at the full level each entry meets every mask kind.
+    layouts = [(dims, kind) for dims in _LAYOUT_DIMS for kind in _MASK_KINDS]
+    cases = [layout + (_STEP_ENTRIES[(i + r) % len(_STEP_ENTRIES)],)
+             for r in range(1 if level == "quick" else 4) for i, layout in enumerate(layouts)]
+    worst = max(_probe_step(np.random.default_rng(21), cases))
+    return worst <= 1e-12, f"max relative deviation {worst:.3e} over {len(cases)} steps"
 
 
 def _probe_shrink_optimality(rng, dims, lam, mu, perturbations):
-    """Worst gains of ``lam ||C||_* + mu/2 ||C - x - l||^2`` over ``z = z_update(x, l, lam, mu)``.
+    """Worst gains of ``lam ||C||_* + mu/2 ||C - x - l||^2`` over ``z = t_tsvt(x + l, lam / mu)``.
 
     The first, absolute, is that of ``x + l`` or zero; the second, relative to
     ``max(objective(z), 1)``, that of z plus random d of length up to ``0.1 ||z||``.
@@ -361,8 +424,8 @@ def _probe_shrink_optimality(rng, dims, lam, mu, perturbations):
     """
     t = make_transform("fft", dims[2])
     x, l = _random_tensor(rng, dims), _random_tensor(rng, dims)
-    z = admm.z_update(x, l, lam, mu, t)
     y = x + l
+    z = tsvd.t_tsvt(y, lam / mu, t)
 
     def objective(c):
         return lam * tsvd.ttnn(c, t) + 0.5 * mu * frobenius_norm(c - y) ** 2
@@ -490,7 +553,7 @@ _CHECKS = [
     ("mri.forward_adjoint", _check_forward_adjoint, ("quick", "full")),
     ("mri.mask_determinism", _check_mask_determinism, ("quick", "full")),
     ("mri.full_mask_roundtrip", _check_full_mask_roundtrip, ("quick", "full")),
-    ("admm.x_update", _check_x_update_normal_equations, ("quick", "full")),
+    ("admm.step", _check_step, ("quick", "full")),
     ("admm.z_subproblem", _check_z_subproblem, ("quick", "full")),
     ("admm.generalized_equivalence", _check_generalized_matches_classic, ("quick", "full")),
     ("admm.fidelity_monotone", _check_fidelity_monotone, ("quick", "full")),

@@ -7,6 +7,7 @@ straight to numpy. Tests compare library outputs against these paths.
 """
 
 import contextlib
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -16,9 +17,11 @@ import scipy.linalg
 
 from ttmri import admm
 
-# The random inputs are drawn by the library's own helpers, so the tests
-# and ``ttmri check`` share one definition of a random tensor, unitary,
-# transform or k-space vector.
+# The random inputs, the layouts and the fft2 oracle are the library's own
+# helpers, so the tests and ``ttmri check`` share one definition of each.
+from ttmri.checks import _LAYOUT_DIMS as LAYOUT_DIMS
+from ttmri.checks import _MASK_KINDS, _layout_mask
+from ttmri.checks import _centered_fft2_oracle as centered_fft2_oracle
 from ttmri.mri import _random_kspace as random_kspace
 from ttmri.transforms import _random_tensor as rand_tensor
 from ttmri.transforms import _random_transform as random_transform
@@ -27,7 +30,7 @@ from ttmri.transforms import _random_unitary as random_unitary
 
 @pytest.fixture
 def x_step_calls(monkeypatch):
-    """A list that gains one entry per x-step, of the solvers or ``x_update_gamma``.
+    """A list that gains one entry per x-step of the solvers' loop.
 
     Every x-step goes through one formula on the sampled entries,
     ``admm._sampled_x``, which is what this counts.
@@ -36,6 +39,25 @@ def x_step_calls(monkeypatch):
     sampled_x = admm._sampled_x
     monkeypatch.setattr(admm, "_sampled_x", lambda *args: calls.append(1) or sampled_x(*args))
     return calls
+
+
+# Faults in the loop body, as (text of admm._iterate, its faulty replacement).
+ITERATE_FAULTS = {
+    "x_step_adds_l": ("_sampled_x(zr_s - l_s,", "_sampled_x(zr_s + l_s,"),
+    "unrelaxed_off_samples": ("z *= alpha", "z *= 1.0"),
+    "gamma_scaled": ("b.values, params.gamma)", "b.values, params.gamma * 1.01)"),
+    "unrelaxed_on_samples": ("x_s + alpha * (z_s - x_s)", "x_s + (z_s - x_s)"),
+}
+
+
+def plant_in_iterate(monkeypatch, fault):
+    """Monkeypatch ``admm._iterate`` with one of ``ITERATE_FAULTS`` substituted in its source."""
+    old, new = ITERATE_FAULTS[fault]
+    source = inspect.getsource(admm._iterate)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(admm))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(admm, "_iterate", namespace["_iterate"])
 
 
 @contextlib.contextmanager
@@ -91,13 +113,6 @@ def svt_oracle(x, kind, n3, tau, mat=None):
     return fiber_transform(out, w.conj().T)
 
 
-def centered_fft2_oracle(stack: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Per-frame centered unitary 2D (inverse) FFT of an (nt, nx, ny) array."""
-    fft2 = np.fft.ifft2 if inverse else np.fft.fft2
-    shifted = np.fft.ifftshift(stack, axes=(1, 2))
-    return np.fft.fftshift(fft2(shifted, axes=(1, 2), norm="ortho"), axes=(1, 2))
-
-
 def _raster_order(mask: np.ndarray) -> np.ndarray:
     # Flat indices into the (nt, ny, nx)-transposed mask, which makes i the
     # fastest-varying coordinate of the sampled sequence.
@@ -117,16 +132,7 @@ def scatter_oracle(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
     return flat.reshape(nt, ny, nx).transpose(0, 2, 1)
 
 
-# Even, odd and rectangular grids, and a single frame.
-LAYOUT_DIMS = [(8, 8, 3), (7, 9, 2), (8, 5, 3), (6, 6, 1)]
-
-
 def layout_masks(dims, seed):
-    """An empty, a full and a random mask of logical dims ``(nx, ny, nt)``."""
-    nx, ny, nt = dims
+    """An empty, a full and a random mask of logical dims ``(nx, ny, nt)``, by kind."""
     rng = np.random.default_rng(seed)
-    return {
-        "empty": np.zeros((nt, nx, ny), dtype=bool),
-        "full": np.ones((nt, nx, ny), dtype=bool),
-        "random": rng.random((nt, nx, ny)) < 0.4,
-    }
+    return {kind: _layout_mask(rng, dims, kind) for kind in _MASK_KINDS}

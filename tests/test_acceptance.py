@@ -18,7 +18,6 @@ import pytest
 
 import ttmri
 from ttmri import (
-    SamplingSpec,
     AdmmConfig,
     adjoint,
     forward,
@@ -133,13 +132,13 @@ def test_criterion_05_operator_adjointness():
 
 
 def test_criterion_06_x_update_normal_equations():
-    masked = gen_vds_mask(12, 10, 3, accel=2.5, seed=13)
-    empty = SamplingSpec(np.zeros((3, 12, 10), dtype=bool))
-    worst = checks._probe_x_update(
-        np.random.default_rng(106), (masked, empty), (0.05, 1.0, 20.0), (0.0, 0.4, 8.0)
-    )
-    assert worst <= 1e-10
-    report(6, f"both closed forms incl. gamma=0 and empty masks, residual {worst:.2e}")
+    # One loop step against the image-space step, whose x-step solves the normal
+    # equations, for every grid, mask kind (empty included) and entry (gamma 0 included).
+    cases = [(dims, kind, entry) for dims in checks._LAYOUT_DIMS for kind in checks._MASK_KINDS
+             for entry in checks._STEP_ENTRIES]
+    worst = max(checks._probe_step(np.random.default_rng(106), cases))
+    assert worst <= 1e-12
+    report(6, f"{len(cases)} steps incl. gamma=0 and empty masks, max deviation {worst:.2e}")
 
 
 def test_criterion_07_end_to_end_recovery():

@@ -30,15 +30,12 @@ from ttmri import (
     snr,
     solve,
     solve_generalized,
-    spatial_fft,
-    spatial_ifft,
     sum_rank,
     transformed_multirank,
     transformed_singular_values,
     transformed_spectral_norm,
     ttnn,
     t_tsvt,
-    x_update_gamma,
     z_update,
 )
 from ttmri.transforms import KINDS
@@ -46,7 +43,6 @@ from ttmri.transforms import KINDS
 from conftest import (
     LAYOUT_DIMS,
     centered_fft2_oracle,
-    layout_masks,
     rand_tensor,
     random_kspace,
     random_transform,
@@ -84,103 +80,14 @@ class TestZUpdate:
             z_update(x, x, 1.0, 0.0, t)
 
 
-class TestXUpdateGamma:
-    def test_fixed_point_of_consistent_data(self):
-        # At the solver's fixed point Z = X* and L = 0, a full mask and
-        # gamma = 1 reproduce X* exactly.
-        rng = np.random.default_rng(3)
-        spec = SamplingSpec(np.ones((3, 6, 5), dtype=bool))
-        x_star = rand_tensor(rng, spec.dims)
-        b = forward(x_star, spec)
-        x = x_update_gamma(x_star, ComplexTensor3.zeros(spec.dims), b, spec, 1.0)
-        assert frobenius_norm(x - x_star) <= 1e-12 * frobenius_norm(x_star)
-
-    def test_empty_mask_returns_z_minus_l(self):
-        rng = np.random.default_rng(4)
-        spec = SamplingSpec(np.zeros((2, 4, 4), dtype=bool))
-        z, l = rand_tensor(rng, spec.dims), rand_tensor(rng, spec.dims)
-        b = KSpaceVector(np.zeros(0), spec)
-        x = x_update_gamma(z, l, b, spec, 1.0 / 0.7)
-        expected = z - l
-        assert frobenius_norm(x - expected) <= 1e-12 * frobenius_norm(expected)
-
-    def test_gamma_zero_exact(self):
-        rng = np.random.default_rng(7)
-        spec = gen_vds_mask(8, 8, 2, accel=2.0, seed=3)
-        z, l = rand_tensor(rng, spec.dims), rand_tensor(rng, spec.dims)
-        b = random_kspace(rng, spec)
-        x = x_update_gamma(z, l, b, spec, 0.0)
-        assert np.array_equal(x.slices, (z - l).slices)
-
-    def test_large_gamma_limit_full_mask(self):
-        rng = np.random.default_rng(9)
-        spec = SamplingSpec(np.ones((2, 6, 6), dtype=bool))
-        z, l = rand_tensor(rng, spec.dims), rand_tensor(rng, spec.dims)
-        b = random_kspace(rng, spec)
-        x = x_update_gamma(z, l, b, spec, 1e8)
-        limit = spatial_ifft(ComplexTensor3(spec.scatter(b.values)))
-        assert frobenius_norm(x - limit) <= 1e-6 * frobenius_norm(limit)
-
-    def test_normal_equation_residual(self):
-        specs = [gen_vds_mask(10, 9, 3, accel=2.0, seed=5)]
-        worst = checks._probe_x_update(np.random.default_rng(10), specs, (), (0.0, 0.3, 5.0))
-        assert worst <= 1e-10
-
-    def test_classic_normal_equation_residual(self):
-        # The classic x-step of weight mu is gamma = 1/mu; it solves
-        # A^H A x + mu x = A^H b + mu (Z - L).
-        rng = np.random.default_rng(5)
-        spec = gen_vds_mask(10, 9, 3, accel=2.0, seed=1)
-        z, l = rand_tensor(rng, spec.dims), rand_tensor(rng, spec.dims)
-        b = random_kspace(rng, spec)
-        for mu in (0.05, 1.0, 10.0):
-            x = x_update_gamma(z, l, b, spec, 1.0 / mu)
-            lhs = adjoint(forward(x, spec)) + x * mu
-            rhs = adjoint(b) + (z - l) * mu
-            scale = np.linalg.norm(b.values) + mu * frobenius_norm(z - l)
-            assert frobenius_norm(lhs - rhs) <= 1e-10 * scale
-
-    def test_negative_gamma(self):
-        spec = SamplingSpec(np.ones((1, 2, 2), dtype=bool))
-        z = ComplexTensor3.zeros(spec.dims)
-        b = KSpaceVector(np.zeros(4), spec)
-        with pytest.raises(ParameterError):
-            x_update_gamma(z, z, b, spec, -0.1)
-
-
-class TestDataConsistencyLayout:
-    # The x-step against the out-of-place formula it replaces, written
-    # here with the fft2 oracle and the transposed-raster scatter. The
-    # arithmetic is the same, so the results must be equal. An unsampled
-    # entry keeps its transformed value k exactly.
-
-    @pytest.mark.parametrize("dims", LAYOUT_DIMS)
-    def test_x_steps_match_old_formulas(self, dims):
-        rng = np.random.default_rng(44)
-        z, l = rand_tensor(rng, dims), rand_tensor(rng, dims)
-        diff = z.slices - l.slices
-        for name, mask in layout_masks(dims, 45).items():
-            spec = SamplingSpec(mask)
-            b = random_kspace(rng, spec)
-            scattered = scatter_oracle(mask, b.values)
-            k = centered_fft2_oracle(diff)
-            for gamma in (0.5, 1.0, 1.0 / 0.3, 4.0):
-                numer = k + gamma * scattered
-                expected = centered_fft2_oracle(numer / (gamma * mask + 1.0), inverse=True)
-                x = x_update_gamma(z, l, b, spec, gamma)
-                assert np.array_equal(x.slices, expected), (name, gamma)
-            assert np.array_equal(z.slices - l.slices, diff)
-
-
 _FFT4 = make_transform("fft", 4)
 _MASK_ENTRY_POINTS = {
-    "solve": lambda b, spec, z: solve(
+    "solve": lambda b, spec: solve(
         b, spec, AdmmConfig(lam=0.05, mu=0.5, transform=_FFT4, max_iters=20)
     ),
-    "solve_generalized": lambda b, spec, z: solve_generalized(
+    "solve_generalized": lambda b, spec: solve_generalized(
         b, spec, [IterationParams(gamma=2.0, eta=1.0, tau=0.1)] * 20, _FFT4
     ),
-    "x_update_gamma": lambda b, spec, z: x_update_gamma(z, z, b, spec, 2.0),
 }
 
 
@@ -191,26 +98,24 @@ class TestSamplingSpecMatch:
     def _setup(self):
         spec = gen_vds_mask(16, 16, 4, accel=3.0, seed=1)
         b = forward(make_phantom(16, 16, 4, "moving_ellipse", seed=1), spec)
-        return spec, b, ComplexTensor3.zeros(spec.dims)
+        return spec, b
 
     @pytest.mark.parametrize("entry", list(_MASK_ENTRY_POINTS))
     def test_mirrored_mask_rejected_before_any_x_step(self, x_step_calls, entry):
-        # x_step_calls counts the sampled-entry formula that all three reach.
-        spec, b, z = self._setup()
+        # x_step_calls counts the sampled-entry formula that both reach.
+        spec, b = self._setup()
         mirrored = SamplingSpec(np.flip(spec.mask, axis=1).copy())
         assert (mirrored.m, mirrored.dims) == (spec.m, spec.dims)
         assert not np.array_equal(mirrored.mask, spec.mask)
         with pytest.raises(DimensionError, match="inconsistent with the sampling spec"):
-            _MASK_ENTRY_POINTS[entry](b, mirrored, z)
+            _MASK_ENTRY_POINTS[entry](b, mirrored)
         assert x_step_calls == []
 
     @pytest.mark.parametrize("entry", list(_MASK_ENTRY_POINTS))
     def test_equal_mask_in_another_spec_accepted(self, entry):
-        spec, b, z = self._setup()
-        same = _MASK_ENTRY_POINTS[entry](b, spec, z)
-        other = _MASK_ENTRY_POINTS[entry](b, SamplingSpec(spec.mask.copy()), z)
-        if entry.startswith("solve"):
-            same, other = same.reconstruction, other.reconstruction
+        spec, b = self._setup()
+        same = _MASK_ENTRY_POINTS[entry](b, spec).reconstruction
+        other = _MASK_ENTRY_POINTS[entry](b, SamplingSpec(spec.mask.copy())).reconstruction
         assert np.array_equal(other.slices, same.slices)
 
 
@@ -238,15 +143,9 @@ def _image_space_solve(b, spec, schedule, init_transform, rel_tol, report_lambda
     history = []
     for n, params in enumerate(schedule, start=1):
         t = params.transform or init_transform
-        y = x + l
-        tau = params.tau if params.a is None else relative_thresholds(y, params.a, t)
-        z = t_tsvt(y, tau, t)
-        a = alpha if params.eta == 1.0 else 1.0
-        z_relaxed = a * z + (1 - a) * x
-        x_new = x_update_gamma(z_relaxed, l, b, spec, params.gamma)
+        z, x_new, l = checks._image_space_step(x, l, b, spec, t, params, alpha)
         change, size = frobenius_norm(x_new - x), frobenius_norm(x)
         x = x_new
-        l = l - params.eta * (z_relaxed - x)
         fidelity = 0.5 * float(np.linalg.norm(forward(x, spec).values - b.values) ** 2)
         nuclear = ttnn(x, t)
         history.append(
@@ -452,40 +351,23 @@ class TestImageSpaceLoop:
             assert abs(stats.ttnn - nuclear) <= tol
             assert abs(stats.primal_residual - primal) <= tol
 
-    # One k-space step from a random state, not the zero-filled start, against
-    # the image-space step; L's k-space must stay zero off the samples.
+    # One k-space step from a random state, not the solver's start, against the image-space
+    # step, on every layout and mask kind; L's k-space must stay zero off the samples.
     @pytest.mark.parametrize("gamma, eta, tau, a", [
         pytest.param(2.0, 1.0, 0.3, None, id="absolute"),  # relaxed
         pytest.param(2.0, 1.0, None, -1.0, id="relative"),
         pytest.param(2.0, 0.5, 0.3, None, id="eta_not_1"),  # plain ADMM
-        pytest.param(0.0, 1.0, None, (-2.0, 0.0, 1.0), id="gamma_0"),  # the x-step is Zr - L
+        pytest.param(0.0, 1.0, None, -2.0, id="gamma_0"),  # the x-step is Zr - L
+        pytest.param(1e8, 1.0, 0.3, None, id="gamma_1e8"),  # X_new is near b on the samples
+        # The classic step at lambda = 0.05 and mu = 0.05, 1 and 10 is gamma = 1/mu, tau = lam/mu.
+        pytest.param(20.0, 1.0, 1.0, None, id="classic_mu_0.05"),
+        pytest.param(1.0, 1.0, 0.05, None, id="classic_mu_1"),
+        pytest.param(0.1, 1.0, 0.005, None, id="classic_mu_10"),
     ])
     def test_one_step_matches(self, gamma, eta, tau, a):
-        rng = np.random.default_rng(50)
-        nx, ny, nt = dims = (8, 7, 3)
-        spec = SamplingSpec(rng.random((nt, nx, ny)) < 0.4)
-        b, t = random_kspace(rng, spec), random_transform(rng, "dct", nt)
-        grid = rand_tensor(rng, dims).slices.copy()
-        x_s, l_s = spec.gather(grid), random_kspace(rng, spec).values.copy()
-        x, l = spatial_ifft(ComplexTensor3(grid)), spatial_ifft(ComplexTensor3(spec.scatter(l_s)))
-        params = IterationParams(gamma, eta, tau, a)
-        z = t_tsvt(x + l, tau if a is None else relative_thresholds(x + l, a, t), t)
-        alpha = admm.RELAXATION if eta == 1.0 else 1.0
-        z_relaxed = alpha * z + (1 - alpha) * x
-        x_new = x_update_gamma(z_relaxed, l, b, spec, gamma)
-        l_new = l - eta * (z_relaxed - x_new)
-
-        (grid, x_s, l_s), (off, alpha_k, dz, rel) = admm._iterate(
-            (grid, x_s, l_s), b, spec._grid_index(), t, params._thresholds(nt), params, 0)
-        tol = 1e-12 * (frobenius_norm(x) + frobenius_norm(l) + float(np.linalg.norm(b.values)))
-        assert frobenius_norm(spatial_ifft(ComplexTensor3(grid)) - x_new) <= tol
-        assert np.array_equal(spec.gather(grid), x_s)
-        l_k = spatial_fft(l_new).slices
-        assert np.linalg.norm(spec.gather(l_k) - l_s) <= tol
-        assert np.linalg.norm(np.where(spec.mask, 0, l_k)) <= tol
-        assert alpha_k == alpha
-        assert abs(math.hypot((alpha - 1) * off, dz) - frobenius_norm(z - x_new)) <= tol
-        assert abs(rel * frobenius_norm(x) - frobenius_norm(x_new - x)) <= tol
+        entry = IterationParams(gamma, eta, tau, a)
+        cases = [(dims, kind, entry) for dims in LAYOUT_DIMS for kind in checks._MASK_KINDS]
+        assert max(checks._probe_step(np.random.default_rng(50), cases)) <= 1e-12
 
 
 class TestWorkingSet:
@@ -909,10 +791,8 @@ def _nan_cases():
         "generalized-rel_tol-negative": lambda: solve_generalized(b, spec, step, t, rel_tol=-1.0),
         "z_update-lam": lambda: z_update(z, z, nan, 1.0, t),
         "z_update-mu": lambda: z_update(z, z, 0.1, nan, t),
-        "x_update_gamma-gamma": lambda: x_update_gamma(z, z, b, spec, nan),
         "z_update-lam-inf": lambda: z_update(z, z, inf, 1.0, t),
         "z_update-mu-inf": lambda: z_update(z, z, 0.1, inf, t),
-        "x_update_gamma-gamma-inf": lambda: x_update_gamma(z, z, b, spec, inf),
         "multirank-tol": lambda: transformed_multirank(z, t, tol=nan),
         "params-tau-negative": lambda: IterationParams(gamma=1.0, eta=1.0, tau=-0.1),
         "params-tau-string": lambda: IterationParams(gamma=1.0, eta=1.0, tau="abc"),

@@ -13,6 +13,8 @@ import pytest
 from ttmri import ParameterError, admm, checks, make_transform, mri, tsvd
 from ttmri.cli import main
 
+from conftest import ITERATE_FAULTS, plant_in_iterate
+
 # Small versions of the criteria's problems; the bounds are the criteria's.
 SIZES = ((2, 7), (2, 7), (1, 5))
 
@@ -44,13 +46,14 @@ def test_adjoint_probe_sees_a_scaled_adjoint(monkeypatch):
     assert worst > 1e-12
 
 
-def test_x_update_probe_sees_a_step_that_ignores_the_data(monkeypatch):
-    def ignore_data(z, l, b, spec, weight):
-        return z - l
-
-    monkeypatch.setattr(admm, "x_update_gamma", ignore_data)
-    worst = checks._probe_x_update(np.random.default_rng(4), _specs(), (0.5,), (2.0,))
-    assert worst > 1e-10
+@pytest.mark.parametrize("fault", list(ITERATE_FAULTS))
+def test_step_probe_sees_a_fault_in_the_loop(monkeypatch, fault):
+    plant_in_iterate(monkeypatch, fault)
+    entry = admm.IterationParams(gamma=2.0, eta=1.0, tau=1.0)
+    worst = checks._probe_step(np.random.default_rng(4), [((8, 7, 3), "random", entry)])
+    assert max(worst) > 1e-12
+    passed, _ = checks._check_step("quick")
+    assert not passed
 
 
 def test_prox_probe_sees_an_expansive_shrink_and_a_concave_norm(monkeypatch):
@@ -75,8 +78,8 @@ def test_prox_probe_sees_a_scaled_shrink(monkeypatch):
 
 
 def test_shrink_optimality_probe_sees_half_the_threshold(monkeypatch):
-    t_tsvt = admm.t_tsvt
-    monkeypatch.setattr(admm, "t_tsvt", lambda y, tau, t, threads: t_tsvt(y, tau / 2, t))
+    t_tsvt = tsvd.t_tsvt
+    monkeypatch.setattr(tsvd, "t_tsvt", lambda y, tau, t: t_tsvt(y, tau / 2, t))
     _, gain = checks._probe_shrink_optimality(np.random.default_rng(6), (5, 4, 3), 0.6, 1.0, 200)
     assert gain > 1e-10
 
@@ -130,7 +133,7 @@ def test_recovery_probe_sees_a_solve_that_stops_early(monkeypatch):
 NAMES = [
     "tensor.algebra", "transforms.isometry", "transforms.special_cases", "tsvd.decomposition",
     "tsvd.norm_invariance", "tsvd.duality", "tsvd.prox", "tsvd.sum_rank",
-    "mri.forward_adjoint", "mri.mask_determinism", "mri.full_mask_roundtrip", "admm.x_update",
+    "mri.forward_adjoint", "mri.mask_determinism", "mri.full_mask_roundtrip", "admm.step",
     "admm.z_subproblem", "admm.generalized_equivalence", "admm.fidelity_monotone",
     "admm.recovery", "admm.determinism",
 ]

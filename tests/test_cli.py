@@ -33,7 +33,7 @@ from ttmri import cli, fileio, tsvd
 from ttmri.cli import ConfigError, main
 from ttmri.fileio import load_kspace, load_mask, load_tensor, save_tensor, save_transform_matrix
 
-from conftest import rand_tensor
+from conftest import plant_in_iterate, rand_tensor
 
 
 def run(*argv):
@@ -346,6 +346,12 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.strip().splitlines()[-1].endswith("checks passed")
+
+    def test_a_fault_in_the_loop_fails_the_step_check(self, monkeypatch, capsys):
+        plant_in_iterate(monkeypatch, "gamma_scaled")
+        assert run("check") == 4
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in out if line.startswith("FAIL")] == ["FAIL admm.step"]
 
 
 def test_missing_out_is_usage_error():

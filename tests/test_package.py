@@ -21,9 +21,10 @@ def test_star_import_runs():
     assert set(importlib.import_module("ttmri").__all__) <= namespace.keys()
 
 
-# The classic x-step is x_update_gamma at gamma = 1/mu; the multiplier
-# update is inline in the solver loop. The (n3, n1, n2) slice stack is the
-# block-diagonal matrix of the transformed slices, with no view of its own.
+# The x-step and the multiplier update are inline in the solver loop,
+# admm._iterate; the image-space step is checks._image_space_step, an oracle.
+# The (n3, n1, n2) slice stack is the block-diagonal matrix of the
+# transformed slices, with no view of its own.
 _RETIRED_STEPS = {"x_update_cartesian", "l_update"}
 _RETIRED_VIEWS = {"BlockDiagView", "bdiag", "fold"}
 
