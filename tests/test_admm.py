@@ -43,6 +43,7 @@ from ttmri.transforms import KINDS
 from conftest import (
     LAYOUT_DIMS,
     centered_fft2_oracle,
+    layout_masks,
     rand_tensor,
     random_kspace,
     random_transform,
@@ -78,6 +79,68 @@ class TestZUpdate:
         x = ComplexTensor3.zeros((2, 2, 2))
         with pytest.raises(ParameterError):
             z_update(x, x, 1.0, 0.0, t)
+
+
+def _one_step(grid, x_s, l_s, b, spec, t, params):
+    """The state ``(X in k-space, x_s, l_s)`` after one ``admm._iterate`` on a copy of ``grid``."""
+    index, taus = spec._grid_index(), params._thresholds(spec.dims[2])
+    return admm._iterate((grid.copy(), x_s, l_s), b, index, t, taus, params, 0)[0]
+
+
+class TestXUpdateGamma:
+    # The loop's x-step: (gamma b + k) / (gamma + 1) at the samples k of Zr - L, Zr elsewhere.
+
+    def test_fixed_point_of_consistent_data(self):
+        # With tau = 0, L = 0 and b = A X*, a full mask and gamma = 1 keep X* and L = 0.
+        rng = np.random.default_rng(3)
+        spec = SamplingSpec(np.ones((3, 6, 5), dtype=bool))
+        grid = rand_tensor(rng, spec.dims).slices
+        b = KSpaceVector(spec.gather(grid), spec)
+        x, _, l_s = _one_step(grid, b.values, np.zeros(spec.m, complex), b, spec,
+                              random_transform(rng, "dct", 3), IterationParams(1.0, 1.0, tau=0.0))
+        assert max(np.linalg.norm(x - grid), np.linalg.norm(l_s)) <= 1e-12 * np.linalg.norm(grid)
+
+    def test_empty_mask_returns_z_minus_l(self):
+        # No samples, so L = 0 and X_new is Zr = alpha Z + (1 - alpha) X everywhere.
+        rng = np.random.default_rng(4)
+        spec = SamplingSpec(np.zeros((2, 4, 4), dtype=bool))
+        grid, t = rand_tensor(rng, spec.dims).slices, random_transform(rng, "dct", 2)
+        none, params = np.zeros(0, complex), IterationParams(1 / 0.7, 1.0, tau=0.3)
+        x = _one_step(grid, none, none, KSpaceVector(none, spec), spec, t, params)[0]
+        z, alpha = t_tsvt(ComplexTensor3(grid), 0.3, t).slices, admm.RELAXATION
+        expected = alpha * z + (1 - alpha) * grid
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_gamma_zero_exact(self):
+        rng = np.random.default_rng(7)
+        spec = gen_vds_mask(8, 8, 2, accel=2.0, seed=3)
+        k, b = random_kspace(rng, spec).values, random_kspace(rng, spec)
+        assert np.array_equal(admm._sampled_x(k, b.values, 0.0), k)
+
+    def test_normal_equation_residual(self):
+        # The image-space step's X_new solves the normal equations through the fft2 oracle.
+        cases = [((10, 9, 3), "random", IterationParams(g, 1.0, tau=0.3)) for g in (0.0, 0.3, 5.0)]
+        assert max(checks._probe_step(np.random.default_rng(10), cases)) <= 1e-12
+
+
+class TestDataConsistencyLayout:
+    # The sampled x-step against the out-of-place formula it replaced, bit for bit, and one
+    # loop step against the image-space step, on every grid and mask kind.
+
+    @pytest.mark.parametrize("dims", LAYOUT_DIMS)
+    def test_x_steps_match_old_formulas(self, dims):
+        rng, gammas = np.random.default_rng(44), (0.5, 1.0, 1.0 / 0.3, 4.0)
+        k = centered_fft2_oracle(rand_tensor(rng, dims).slices)
+        for name, mask in layout_masks(dims, 45).items():
+            spec = SamplingSpec(mask)
+            b = random_kspace(rng, spec)
+            for gamma in gammas:
+                expected = (k + gamma * scatter_oracle(mask, b.values)) / (gamma * mask + 1.0)
+                got = admm._sampled_x(spec.gather(k), b.values, gamma)
+                assert np.array_equal(got, spec.gather(expected)), (name, gamma)
+        cases = [(dims, kind, IterationParams(g, 1.0, tau=0.3))
+                 for kind in checks._MASK_KINDS for g in gammas]
+        assert max(checks._probe_step(np.random.default_rng(46), cases)) <= 1e-12
 
 
 _FFT4 = make_transform("fft", 4)
