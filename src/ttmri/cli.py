@@ -6,11 +6,25 @@ manifest (``<out>.manifest.json``) recording the resolved parameters,
 paths, seed, tool version, and wall time; outputs are deterministic given
 the manifest in sequential mode (``--threads 0``).
 
-Exit codes: 0 success; 2 usage or configuration error (including a
-negative ``--threads`` or ``--seed`` and non-finite numbers in a recon
-config); 3 data error (missing, malformed or undecodable files, mismatched
-inputs, other I/O failures); 4 numeric failure (divergence, non-unitary
-matrices, failed invariant checks).
+Exit codes:
+
+- 0: success.
+- 2: usage or configuration error: a missing ``--out``; a negative
+  ``--seed`` or ``--threads``; a size below 1; an ``--accel`` of 1 or less;
+  a non-finite ``--accel``, ``--theta0`` or ``--sigma``; ``--matrix-path`` missing for ``--transform
+  matrix`` or given with another transform; a recon config key that is
+  unknown, missing, of the wrong type, not finite, outside the solver's
+  range, or a ``matrix_path`` with a kind other than ``matrix`` (each named
+  in the message); an identically zero ``--ref``.
+- 3: data error: a missing, truncated, undecodable or non-finite input
+  file; a config that is not JSON; a mask whose sample count differs from
+  the k-space; a ``--ref`` of other dimensions; a ``--frames-out`` that
+  exists and is not a directory; other I/O failures.
+- 4: numeric failure: a schedule that diverges mid-solve, a non-unitary or
+  non-finite transform matrix, a failed invariant check.
+
+Every exit 2 or 3 above but an I/O failure happens before any output file
+is written and, in ``recon``, before the first iteration.
 """
 
 from __future__ import annotations
@@ -20,13 +34,15 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import stat
 import sys
 import time
 from pathlib import Path
 
 from . import __version__, admm, checks, fileio, mri, tsvd
 from .errors import DataFormatError, NumericError, ParameterError, TtmriError, UnitarityError
-from .errors import _check_seed
+from .errors import _check_real, _check_seed
 from .transforms import KINDS, make_transform
 
 EXIT_OK = 0
@@ -90,6 +106,18 @@ def _require_file(path, role):
     if not p.is_file():
         raise DataFormatError(f"{role} file not found: {path}")
     return p
+
+
+def _check_frames_dir(path):
+    """Reject a ``--frames-out`` that exists and is not a directory, before any output."""
+    if not path:
+        return
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return
+    if not stat.S_ISDIR(mode):
+        raise DataFormatError(f"--frames-out is not a directory: {path}")
 
 
 def _load_spec(mask_path) -> mri.SamplingSpec:
@@ -168,6 +196,8 @@ def _transform_from_config(entry, nt, key):
         raise ConfigError(f"config key '{key}.matrix_path' is required for kind 'matrix'")
     if kind == "matrix" and not isinstance(entry["matrix_path"], str):
         raise ConfigError(f"config key '{key}.matrix_path' must be a string")
+    if kind != "matrix" and "matrix_path" in entry:
+        raise ConfigError(f"config key '{key}.matrix_path' is only for kind 'matrix', not {kind!r}")
     return _make_transform(kind, nt, entry.get("matrix_path"), "transform matrix")
 
 
@@ -205,6 +235,9 @@ def _parse_recon_config(path, nt):
             transform=transform,
         )
         return mode, seed, functools.partial(admm.solve, config=config)
+    # The solver's own rules, checked here so that both modes name the value alike.
+    _build("config", _check_real, name="lambda", value=lam)
+    _build("config", _check_real, name="rel_tol", value=rel_tol, finite=False)
     raw_schedule = cfg.get("schedule")
     if not isinstance(raw_schedule, list) or not raw_schedule:
         raise ConfigError("config key 'schedule' must be a nonempty list in generalized mode")
@@ -244,6 +277,7 @@ def _parse_recon_config(path, nt):
 
 
 def _cmd_phantom(args):
+    _check_frames_dir(args.frames_out)
     transform = None
     if args.phantom_transform != "fft":
         transform = make_transform(args.phantom_transform, args.nt)
@@ -299,6 +333,7 @@ def _cmd_recon(args):
         ref = fileio.load_tensor(_require_file(args.ref, "reference"))
         mri._check_reference(spec.dims, ref)
         inputs["ref"] = str(args.ref)
+    _check_frames_dir(args.frames_out)
     mode, seed, solver = _parse_recon_config(_require_file(args.config, "config"), spec.dims[2])
     report = solver(b, spec, threads=args.threads)
     fileio.save_tensor(args.out, report.reconstruction)
@@ -319,9 +354,11 @@ def _cmd_recon(args):
 
 
 def _cmd_tsvd(args):
-    x = fileio.load_tensor(_require_file(args.tensor, "tensor"))
     if args.transform == "matrix" and not args.matrix_path:
         raise ParameterError("--matrix-path is required for --transform matrix")
+    if args.transform != "matrix" and args.matrix_path is not None:
+        raise ParameterError(f"--matrix-path is only for --transform matrix, not {args.transform!r}")
+    x = fileio.load_tensor(_require_file(args.tensor, "tensor"))
     transform = _make_transform(args.transform, x.dims[2], args.matrix_path, "matrix")
     factors = tsvd.tt_svd(x, transform, threads=args.threads)
     outputs = [f"{args.out}_{name}.t2t" for name in ("U", "S", "V")]

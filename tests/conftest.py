@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.linalg
+from hypothesis import settings
 
 from ttmri import admm
 
@@ -28,17 +29,30 @@ from ttmri.transforms import _random_transform as random_transform
 from ttmri.transforms import _random_unitary as random_unitary
 
 
-@pytest.fixture
-def x_step_calls(monkeypatch):
-    """A list that gains one entry per x-step of the solvers' loop.
+# Every generated test draws the same cases on every run and keeps no example
+# database; examples may take as long as they need.
+settings.register_profile("ttmri", derandomize=True, database=None, deadline=None)
+settings.load_profile("ttmri")
+
+
+@contextlib.contextmanager
+def counted_x_steps():
+    """A list that gains one entry per x-step of the solvers' loop run in the block.
 
     Every x-step goes through one formula on the sampled entries,
     ``admm._sampled_x``, which is what this counts.
     """
     calls = []
     sampled_x = admm._sampled_x
-    monkeypatch.setattr(admm, "_sampled_x", lambda *args: calls.append(1) or sampled_x(*args))
-    return calls
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(admm, "_sampled_x", lambda *args: calls.append(1) or sampled_x(*args))
+        yield calls
+
+
+@pytest.fixture
+def x_step_calls():
+    with counted_x_steps() as calls:
+        yield calls
 
 
 # Faults in the loop body, as (text of admm._iterate, its faulty replacement).

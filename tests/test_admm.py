@@ -367,7 +367,7 @@ class TestImageSpaceLoop:
         assert not b.values.flags.writeable
 
     # Pinned cases reach past the draws: grids past 9, eta 1.5, a = -50, a rel_tol stop.
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     @given(case=_solver_cases())
     @example(case=_Case((8, 7, 3), "identity", 0.5, False, (_RELATIVE,), (0,) * 3))
     @example(case=_Case((9, 8, 1), "fft", 0.5, False, (_ABSOLUTE, _RELATIVE), (0, 1) * 4))

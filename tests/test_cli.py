@@ -1,84 +1,92 @@
-import csv
+import collections
+import contextlib
+import copy
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ttmri import (
-    AdmmConfig,
-    ComplexTensor3,
-    DataFormatError,
-    DimensionError,
-    DivergenceError,
-    IterationParams,
-    KSpaceVector,
-    NumericError,
-    ParameterError,
-    SamplingSpec,
-    TtmriError,
-    UnitarityError,
-    frobenius_norm,
-    gen_pseudo_radial_mask,
-    make_transform,
-    solve,
-    solve_generalized,
-    sum_rank,
-)
-from ttmri import cli, fileio, tsvd
+from ttmri import (AdmmConfig, ComplexTensor3, DataFormatError, DimensionError, DivergenceError,
+                   IterationParams, KSpaceVector, NumericError, ParameterError, SamplingSpec,
+                   TtmriError, UnitarityError, add_noise, cli, fileio, gen_pseudo_radial_mask,
+                   make_transform, mri, solve, solve_generalized, sum_rank, tsvd)
 from ttmri.cli import ConfigError, main
 from ttmri.fileio import load_kspace, load_mask, load_tensor, save_tensor, save_transform_matrix
+from ttmri.transforms import KINDS
 
-from conftest import plant_in_iterate, rand_tensor
+from conftest import counted_x_steps, plant_in_iterate, rand_tensor, random_unitary
+
+# The loop checks finiteness itself: an overflowing step is a DivergenceError
+# (exit 4) under CI's warning flags too, with no numpy warning before it.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def run(*argv):
     return main([str(a) for a in argv])
 
 
-def write_config(path, **overrides):
-    cfg = {
-        "lambda": 0.05,
-        "mu": 0.5,
-        "eta": 1.0,
-        "max_iters": 8,
-        "rel_tol": 0.0,
-        "transform": {"kind": "fft"},
-        "mode": "classic",
-    }
-    cfg.update(overrides)
-    path.write_text(json.dumps(cfg))
-    return path
+_CONFIG = {"lambda": 0.05, "mu": 0.5, "eta": 1.0, "max_iters": 8, "rel_tol": 0.0,
+           "transform": {"kind": "fft"}, "mode": "classic"}
 
 
-@pytest.fixture
-def pipeline(tmp_path):
-    """Phantom, mask, and k-space files for recon-level tests."""
-    phantom = tmp_path / "truth.t2t"
-    mask = tmp_path / "mask.t2t"
-    kspace = tmp_path / "b.t2k"
-    assert run("phantom", "--kind", "moving_ellipse", "--nx", 16, "--ny", 16,
-               "--nt", 4, "--seed", 1, "--out", phantom) == 0
-    assert run("mask", "--pattern", "radial", "--lines", 5, "--nx", 16, "--ny", 16,
-               "--nt", 4, "--seed", 1, "--out", mask) == 0
-    assert run("forward", "--image", phantom, "--mask", mask, "--out", kspace) == 0
-    return tmp_path, phantom, mask, kspace
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Read-only 8x8x4 inputs: a phantom, a radial mask, its k-space and a unitary matrix."""
+    d = tmp_path_factory.mktemp("inputs")
+    f = SimpleNamespace(truth=d / "truth.t2t", mask=d / "mask.t2t", kspace=d / "b.t2k",
+                        matrix=d / "u.t2m")
+    size = ["--nx", 8, "--ny", 8, "--nt", 4, "--seed", 1]
+    assert run("phantom", "--kind", "moving_ellipse", *size, "--out", f.truth) == 0
+    assert run("mask", "--pattern", "radial", "--lines", 3, *size, "--out", f.mask) == 0
+    assert run("forward", "--image", f.truth, "--mask", f.mask, "--out", f.kspace) == 0
+    save_transform_matrix(f.matrix, random_unitary(np.random.default_rng(0), 4))
+    for path in d.iterdir():
+        path.chmod(0o444)
+    return f
+
+
+# The input contract. A case is a command, a valid invocation of it on the
+# files above, and at most one fault from _FAULTS planted in it. With a fault,
+# the run exits with the row's code and message, prints nothing to stdout,
+# leaves no file behind and runs no x-step (a numeric failure, exit 4, is
+# found mid-solve). With none, it exits 0 and its manifest lists exactly the
+# files it wrote. ``kind`` is the transform of tsvd and recon; ``frames`` adds
+# --frames-out to phantom and recon.
+_Case = collections.namedtuple("_Case", "command fault seed threads kind frames",
+                               defaults=(None, 0, 0, "fft", False))
+
+
+def _pinned(cases):
+    """A test that runs a case or a tuple of cases through the contract, or one test per id
+    of a dict of cases; a staticmethod, so that it also serves in a test class."""
+    if isinstance(cases, dict):
+        @pytest.mark.parametrize("case", cases.values(), ids=cases.keys())
+        def test(files, case):
+            _check_contract(files, case)
+    else:
+        def test(files):
+            for case in [cases] if isinstance(cases, _Case) else cases:
+                _check_contract(files, case)
+    return staticmethod(test)
+
+
+def _ids(command, ids, fault="{}"):
+    """Pinned cases by id: ``command`` and ``fault``, each formatted with the id."""
+    return {i: _Case(command.format(i), fault.format(i)) for i in ids.split()}
 
 
 class TestPhantomCommand:
-    def test_writes_tensor_and_manifest(self, tmp_path):
-        out = tmp_path / "p.t2t"
-        assert run("phantom", "--kind", "moving_ellipse", "--nx", 64, "--ny", 64,
-                   "--nt", 8, "--seed", 0, "--out", out) == 0
-        assert load_tensor(out).dims == (64, 64, 8)
-        manifest = json.loads((tmp_path / "p.t2t.manifest.json").read_text())
-        assert manifest["command"] == "phantom"
-        assert manifest["seed"] == 0
-        assert manifest["parameters"]["kind"] == "moving_ellipse"
+    test_writes_tensor_and_manifest = _pinned(_Case("phantom"))
+    test_frames_dump = _pinned(_Case("phantom", frames=True))
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.t2t", tmp_path / "b.t2t"
@@ -87,200 +95,56 @@ class TestPhantomCommand:
                        "--nt", 3, "--seed", 7, "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_frames_dump(self, tmp_path):
-        out = tmp_path / "p.t2t"
-        frames = tmp_path / "frames"
-        assert run("phantom", "--kind", "moving_ellipse", "--nx", 8, "--ny", 8,
-                   "--nt", 3, "--seed", 0, "--out", out, "--frames-out", frames) == 0
-        assert sorted(p.name for p in frames.iterdir()) == [
-            "frame_001.pgm", "frame_002.pgm", "frame_003.pgm",
-        ]
-
 
 class TestMaskCommand:
-    def test_radial_matches_library_generator(self, tmp_path):
-        out = tmp_path / "m.t2t"
-        assert run("mask", "--pattern", "radial", "--lines", 16, "--nx", 144,
-                   "--ny", 112, "--nt", 2, "--seed", 3, "--out", out) == 0
-        expected = gen_pseudo_radial_mask(144, 112, 2, lines=16, seed=3)
-        assert np.array_equal(load_mask(out), expected.mask)
-        manifest = json.loads((tmp_path / "m.t2t.manifest.json").read_text())
-        assert manifest["parameters"]["m"] == expected.m
+    test_invalid_accel_is_usage_error = _pinned(_Case("vds", "accel-1"))
+    test_radial_matches_library_generator = _pinned(_Case("radial", seed=3))
 
     def test_vds(self, tmp_path):
-        out = tmp_path / "m.t2t"
         assert run("mask", "--pattern", "vds", "--accel", 4.0, "--nx", 32,
-                   "--ny", 32, "--nt", 2, "--seed", 0, "--out", out) == 0
-        mask = load_mask(out)
-        assert mask.shape == (2, 32, 32)
-        assert abs(mask.sum() / mask.size - 0.25) < 0.05
-
-    def test_invalid_accel_is_usage_error(self, tmp_path):
-        assert run("mask", "--pattern", "vds", "--accel", 1.0, "--nx", 8, "--ny", 8,
-                   "--nt", 1, "--out", tmp_path / "m.t2t") == 2
+                   "--ny", 32, "--nt", 2, "--seed", 0, "--out", tmp_path / "m.t2t") == 0
+        mask = load_mask(tmp_path / "m.t2t")
+        assert mask.shape == (2, 32, 32) and abs(mask.mean() - 0.25) < 0.05
 
 
 class TestForwardCommand:
-    def test_values_and_sidecar(self, pipeline):
-        tmp_path, phantom, mask, kspace = pipeline
-        values, mask_path = load_kspace(kspace)
-        assert mask_path == str(mask)
-        spec_mask = load_mask(mask)
-        assert values.size == int(spec_mask.sum())
-
-    def test_noise_is_seeded(self, pipeline):
-        tmp_path, phantom, mask, _ = pipeline
-        outs = [tmp_path / "n1.t2k", tmp_path / "n2.t2k"]
-        for out in outs:
-            assert run("forward", "--image", phantom, "--mask", mask,
-                       "--sigma", 0.5, "--seed", 9, "--out", out) == 0
-        assert outs[0].read_bytes() == outs[1].read_bytes()
-
-    def test_missing_image_is_data_error(self, tmp_path):
-        mask = tmp_path / "m.t2t"
-        run("mask", "--pattern", "radial", "--lines", 2, "--nx", 8, "--ny", 8,
-            "--nt", 1, "--out", mask)
-        code = run("forward", "--image", tmp_path / "absent.t2t", "--mask", mask,
-                   "--out", tmp_path / "b.t2k")
-        assert code == 3
+    test_missing_image_is_data_error = _pinned(_Case("forward", "file-absent"))
+    test_values_and_sidecar = _pinned(_Case("forward"))
+    test_noise_is_seeded = _pinned(_Case("forward", seed=9))
 
 
 class TestReconCommand:
-    def test_classic_end_to_end(self, pipeline, capsys):
-        tmp_path, phantom, mask, kspace = pipeline
-        cfg = write_config(tmp_path / "cfg.json")
-        rec = tmp_path / "rec.t2t"
-        assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
-                   "--ref", phantom, "--out", rec) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("SNR_dB: ")
-        printed = float(out.split(":")[1])
-        history = (tmp_path / "rec.t2t.history.csv").read_text().strip().splitlines()
-        assert history[0] == "iter,objective,fidelity,ttnn,primal_residual,elapsed_ms"
-        assert len(history) == 1 + 8  # header + max_iters rows
-        # The printed SNR agrees with the metrics command on the same pair.
-        assert run("metrics", "--rec", rec, "--ref", phantom) == 0
-        metrics_line = capsys.readouterr().out
-        assert abs(float(metrics_line.split(":")[1]) - printed) <= 1e-10
+    test_bad_config_key_named = _pinned(_Case("recon", "lambda-missing"))
+    test_invalid_json_is_data_error = _pinned(_Case("recon", "config-not-json"))
+    test_integer_beyond_the_digit_limit_is_data_error = _pinned(_Case("recon", "config-long-int"))
+    test_mask_of_another_count_is_data_error = _pinned(_Case("recon", "mask-other-count"))
+    test_non_finite_kspace_sample_is_data_error = _pinned(_Case("recon", "sample-nan"))
+    test_bad_reference_rejected_before_any_iteration = _pinned(
+        {"other-dims": _Case("recon", "ref-other-dims"), "zero": _Case("recon", "ref-zero")})
+    test_diverging_schedule_is_numeric_error = _pinned(_ids("generalized", "huge-gamma huge-eta"))
+    test_relative_schedule_runs = _pinned(_Case("generalized"))
+    test_classic_end_to_end = _pinned(_Case("recon"))
 
-    def test_generalized_matches_classic(self, pipeline):
-        tmp_path, phantom, mask, kspace = pipeline
-        lam, mu, iters = 0.05, 0.5, 6
-        classic_cfg = write_config(tmp_path / "classic.json", **{
-            "lambda": lam, "mu": mu, "max_iters": iters,
-        })
-        schedule = [{"gamma": 1.0 / mu, "eta": 1.0, "tau": lam / mu}] * iters
-        general_cfg = write_config(tmp_path / "general.json", **{
-            "mode": "generalized", "schedule": schedule, "lambda": lam,
-        })
-        rec_c, rec_g = tmp_path / "rc.t2t", tmp_path / "rg.t2t"
-        assert run("recon", "--kspace", kspace, "--mask", mask,
-                   "--config", classic_cfg, "--out", rec_c) == 0
-        assert run("recon", "--kspace", kspace, "--mask", mask,
-                   "--config", general_cfg, "--out", rec_g) == 0
-        assert rec_c.read_bytes() == rec_g.read_bytes()
-
-    def test_bad_config_key_named(self, pipeline, capsys):
-        tmp_path, _, mask, kspace = pipeline
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"mu": 0.5, "transform": {"kind": "fft"}}))
-        code = run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
-                   "--out", tmp_path / "r.t2t")
-        assert code == 2
-        assert "'lambda'" in capsys.readouterr().err
-
-    def test_invalid_json_is_data_error(self, pipeline):
-        tmp_path, _, mask, kspace = pipeline
-        cfg = tmp_path / "bad.json"
-        cfg.write_text("{not json")
-        assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
-                   "--out", tmp_path / "r.t2t") == 3
-
-    def test_mask_of_another_count_is_data_error(self, pipeline, capsys):
-        tmp_path, _, _, kspace = pipeline
-        other = tmp_path / "other.t2t"
-        assert run("mask", "--pattern", "radial", "--lines", 2, "--nx", 16, "--ny", 16,
-                   "--nt", 4, "--seed", 1, "--out", other) == 0
-        cfg = write_config(tmp_path / "cfg.json")
-        assert run("recon", "--kspace", kspace, "--mask", other, "--config", cfg,
-                   "--out", tmp_path / "r.t2t") == 3
-        assert "does not match mask count" in capsys.readouterr().err
-        assert not list(tmp_path.glob("r.t2t*"))
-
-    def test_non_finite_kspace_sample_is_data_error(self, pipeline, capsys, x_step_calls):
-        tmp_path, _, mask, kspace = pipeline
-        with open(kspace, "r+b") as fh:  # the real part of sample 5
-            fh.seek(fileio._KSPACE_HEADER.size + 5 * 16)
-            fh.write(np.float64(np.nan).tobytes())
-        cfg = write_config(tmp_path / "cfg.json")
-        assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
-                   "--out", tmp_path / "r.t2t") == 3
-        assert f"{kspace}: sample 5 is not finite" in capsys.readouterr().err
-        assert x_step_calls == []
-        assert not list(tmp_path.glob("r.t2t*"))
-
-    @pytest.mark.parametrize("dims, code, message", [
-        ((8, 8, 8), 3, "dimension mismatch: (16, 16, 4) vs (8, 8, 8)"),
-        ((16, 16, 4), 2, "reference tensor is identically zero"),
-    ], ids=["other-dims", "zero"])
-    def test_bad_reference_rejected_before_any_iteration(self, pipeline, capsys, x_step_calls,
-                                                         dims, code, message):
-        tmp_path, _, mask, kspace = pipeline
-        ref = tmp_path / "ref.t2t"
-        tensor = rand_tensor(np.random.default_rng(0), dims)
-        save_tensor(ref, tensor if code == 3 else ComplexTensor3.zeros(dims))
-        cfg = write_config(tmp_path / "cfg.json")
-        assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
-                   "--ref", ref, "--out", tmp_path / "r.t2t") == code
-        assert message in capsys.readouterr().err
-        assert x_step_calls == []
-        assert not list(tmp_path.glob("r.t2t*"))
-
-    def test_integer_beyond_the_digit_limit_is_data_error(self, pipeline, capsys):
-        # Python's JSON reader refuses integers of more than 4300 digits.
-        tmp_path, _, mask, kspace = pipeline
-        cfg = tmp_path / "long.json"
-        cfg.write_text('{"mode": "classic", "lambda": 1' + "0" * 5000 + "}")
-        assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
-                   "--out", tmp_path / "r.t2t") == 3
-        assert "config is not valid JSON" in capsys.readouterr().err
-
-    # The loop checks finiteness itself: an overflowing step is a DivergenceError
-    # (exit 4) under CI's warning flags too, with no numpy warning before it.
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("schedule, iteration", [
-        ([{"gamma": 1e308, "eta": 1.0, "tau": 1e308}], 1),
-        ([{"gamma": 1.0, "eta": 1e308, "tau": 0.1}] * 2, 2),
-    ], ids=["huge-gamma", "huge-eta"])
-    def test_diverging_schedule_is_numeric_error(self, pipeline, capsys, schedule, iteration):
-        tmp_path, _, mask, kspace = pipeline
-        cfg = write_config(tmp_path / "cfg.json", mode="generalized", schedule=schedule)
-        assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
-                   "--out", tmp_path / "r.t2t") == 4
-        assert capsys.readouterr().err == f"error: non-finite iterate at iteration {iteration}\n"
-        assert not list(tmp_path.glob("r.t2t*"))
-
-    def test_relative_schedule_runs(self, pipeline):
-        tmp_path, _, mask, kspace = pipeline
-        schedule = [{"gamma": 1.0, "eta": 1.0, "a": [-2.0, -2.0, -2.0, -2.0]}] * 3
-        cfg = write_config(tmp_path / "rel.json", mode="generalized",
-                           schedule=schedule)
-        rec = tmp_path / "r.t2t"
-        assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
-                   "--out", rec) == 0
-        assert load_tensor(rec).dims == (16, 16, 4)
+    def test_generalized_matches_classic(self, files, tmp_path):
+        # lambda 0.05 and mu 0.5, as the constant schedule tau = lambda/mu, gamma = 1/mu.
+        schedule = [{"gamma": 1.0 / 0.5, "eta": 1.0, "tau": 0.05 / 0.5}] * 6
+        for name, mode in (("c", {}), ("g", {"mode": "generalized", "schedule": schedule})):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({**_CONFIG, "max_iters": 6, **mode}))
+            assert run("recon", "--kspace", files.kspace, "--mask", files.mask,
+                       "--config", cfg, "--out", tmp_path / f"{name}.t2t") == 0
+        assert (tmp_path / "c.t2t").read_bytes() == (tmp_path / "g.t2t").read_bytes()
 
 
 class TestTsvdCommand:
+    test_matrix_transform_requires_path = _pinned(_Case("tsvd", "matrix-path-missing"))
+    test_non_finite_matrix_is_numeric_error = _pinned(_Case("tsvd", "matrix-nan"))
+
     def test_zero_tensor(self, tmp_path, capsys):
-        zero = tmp_path / "z.t2t"
-        save_tensor(zero, ComplexTensor3.zeros((4, 5, 3)))
-        assert run("tsvd", "--tensor", zero, "--transform", "fft",
+        save_tensor(tmp_path / "z.t2t", ComplexTensor3.zeros((4, 5, 3)))
+        assert run("tsvd", "--tensor", tmp_path / "z.t2t", "--transform", "fft",
                    "--out", tmp_path / "fac") == 0
-        out = capsys.readouterr().out
-        assert "TTNN: 0" in out
-        assert "multirank: 0 0 0" in out
-        assert "sum_rank: 0" in out
+        assert capsys.readouterr().out == "TTNN: 0\nmultirank: 0 0 0\nsum_rank: 0\n"
         for suffix in ("_U.t2t", "_S.t2t", "_V.t2t", "_sv.txt"):
             assert (tmp_path / f"fac{suffix}").exists()
 
@@ -290,62 +154,29 @@ class TestTsvdCommand:
                    "--ny", 12, "--nt", 4, "--seed", 5, "--out", phantom) == 0
         assert run("tsvd", "--tensor", phantom, "--transform", "fft",
                    "--out", tmp_path / "fac") == 0
-        out = capsys.readouterr().out
-        reported = int(out.strip().splitlines()[-1].split(":")[1])
+        reported = int(capsys.readouterr().out.strip().splitlines()[-1].split(":")[1])
         assert reported <= 2 * 4
-        x = load_tensor(phantom)
-        assert reported == sum_rank(x, make_transform("fft", 4))
+        assert reported == sum_rank(load_tensor(phantom), make_transform("fft", 4))
 
     def test_sv_listing_descending(self, tmp_path):
-        rng = np.random.default_rng(11)
-        path = tmp_path / "x.t2t"
-        save_tensor(path, rand_tensor(rng, (5, 4, 3)))
-        assert run("tsvd", "--tensor", path, "--transform", "dct",
+        save_tensor(tmp_path / "x.t2t", rand_tensor(np.random.default_rng(11), (5, 4, 3)))
+        assert run("tsvd", "--tensor", tmp_path / "x.t2t", "--transform", "dct",
                    "--out", tmp_path / "fac") == 0
-        lines = (tmp_path / "fac_sv.txt").read_text().strip().splitlines()
-        assert len(lines) == 3
-        for line in lines:
-            vals = [float(v) for v in line.split()]
-            assert len(vals) == 4
-            assert vals == sorted(vals, reverse=True)
-
-    def test_matrix_transform_requires_path(self, tmp_path):
-        path = tmp_path / "x.t2t"
-        save_tensor(path, ComplexTensor3.zeros((3, 3, 3)))
-        assert run("tsvd", "--tensor", path, "--transform", "matrix",
-                   "--out", tmp_path / "fac") == 2
-
-    def test_non_finite_matrix_is_numeric_error(self, tmp_path, capsys):
-        path, matrix = tmp_path / "x.t2t", tmp_path / "nan.t2t"
-        save_tensor(path, ComplexTensor3.zeros((3, 3, 3)))
-        bad = np.eye(3, dtype=complex)
-        bad[0, 2] = np.nan
-        save_transform_matrix(matrix, bad)
-        assert run("tsvd", "--tensor", path, "--transform", "matrix",
-                   "--matrix-path", matrix, "--out", tmp_path / "fac") == 4
-        assert "not unitary" in capsys.readouterr().err
-        assert not list(tmp_path.glob("fac*"))
+        rows = [[float(v) for v in line.split()]
+                for line in (tmp_path / "fac_sv.txt").read_text().splitlines()]
+        assert len(rows) == 3 and all(len(r) == 4 and r == sorted(r, reverse=True) for r in rows)
 
 
 class TestMetricsCommand:
-    def test_exact_match_prints_inf(self, tmp_path, capsys):
-        rng = np.random.default_rng(12)
-        path = tmp_path / "x.t2t"
-        save_tensor(path, rand_tensor(rng, (4, 4, 2)))
-        assert run("metrics", "--rec", path, "--ref", path) == 0
-        assert capsys.readouterr().out.strip() == "SNR_dB: inf"
-
-    def test_missing_file(self, tmp_path):
-        assert run("metrics", "--rec", tmp_path / "a.t2t",
-                   "--ref", tmp_path / "b.t2t") == 3
+    test_exact_match_prints_inf = _pinned(_Case("metrics"))
+    test_missing_file = _pinned(_Case("metrics", "file-absent"))
 
 
 class TestCheckCommand:
     def test_quick_level_passes(self, capsys):
         assert run("check", "--level", "quick") == 0
         out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.strip().splitlines()[-1].endswith("checks passed")
+        assert "FAIL" not in out and out.strip().splitlines()[-1].endswith("checks passed")
 
     def test_a_fault_in_the_loop_fails_the_step_check(self, monkeypatch, capsys):
         plant_in_iterate(monkeypatch, "gamma_scaled")
@@ -354,28 +185,11 @@ class TestCheckCommand:
         assert [line.split(":")[0] for line in out if line.startswith("FAIL")] == ["FAIL admm.step"]
 
 
-def test_missing_out_is_usage_error():
-    with pytest.raises(SystemExit) as excinfo:
-        run("phantom", "--kind", "moving_ellipse", "--nx", 4, "--ny", 4, "--nt", 1)
-    assert excinfo.value.code == 2
-
-
-def test_corrupt_tensor_is_data_error(tmp_path):
-    bad = tmp_path / "bad.t2t"
-    bad.write_bytes(b"garbage")
-    assert run("tsvd", "--tensor", bad, "--transform", "fft",
-               "--out", tmp_path / "fac") == 3
-
-
 @pytest.mark.parametrize("exc, code", [
-    (ParameterError("bad option"), 2),
-    (ConfigError("config key 'mu' must be positive"), 2),
-    (DataFormatError("bad file"), 3),
-    (DimensionError("bad dims"), 3),
-    (OSError("disk full"), 3),
-    (TtmriError("other"), 3),
-    (UnitarityError("not unitary", 1e-3), 4),
-    (NumericError("no convergence"), 4),
+    (ParameterError("bad option"), 2), (ConfigError("config key 'mu' must be positive"), 2),
+    (DataFormatError("bad file"), 3), (DimensionError("bad dims"), 3),
+    (OSError("disk full"), 3), (TtmriError("other"), 3),
+    (UnitarityError("not unitary", 1e-3), 4), (NumericError("no convergence"), 4),
     (DivergenceError("non-finite iterate", 5), 4),
 ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
 def test_exit_code_of_each_error(monkeypatch, capsys, tmp_path, exc, code):
@@ -387,351 +201,349 @@ def test_exit_code_of_each_error(monkeypatch, capsys, tmp_path, exc, code):
     assert capsys.readouterr().err == f"error: {exc}\n"
 
 
-@pytest.mark.parametrize("threads", ["-1", "-3"])
-def test_negative_threads_is_usage_error(tmp_path, threads):
-    out = tmp_path / "p.t2t"
-    with pytest.raises(SystemExit) as excinfo:
-        run("phantom", "--kind", "moving_ellipse", "--nx", 4, "--ny", 4, "--nt", 1,
-            "--threads", threads, "--out", out)
-    assert excinfo.value.code == 2
-    assert not out.exists()
-
-
-_GENERATOR_ARGV = {
-    "phantom": ["phantom", "--kind", "moving_ellipse", "--nx", 8, "--ny", 8, "--nt", 2],
-    "radial": ["mask", "--pattern", "radial", "--nx", 8, "--ny", 8, "--nt", 2],
-    "vds": ["mask", "--pattern", "vds", "--nx", 8, "--ny", 8, "--nt", 2],
-    "forward": ["forward", "--image", "{phantom}", "--mask", "{mask}"],
-}
-
-
-@pytest.mark.parametrize("command, flag, value", [
-    ("phantom", "--nx", -3), ("phantom", "--nx", 0), ("phantom", "--nt", 0),
-    ("vds", "--nt", -1), ("radial", "--nt", 0), ("vds", "--ny", 0),
-    ("vds", "--accel", "nan"), ("vds", "--accel", "inf"),
-    ("radial", "--theta0", "nan"), ("radial", "--theta0", "inf"),
-    ("forward", "--sigma", "nan"), ("forward", "--sigma", "inf"),
-    ("phantom", "--seed", -1), ("radial", "--seed", -1), ("vds", "--seed", -1),
-    ("forward", "--seed", -1),
-])
-def test_bad_generator_flag_is_usage_error(pipeline, command, flag, value):
-    tmp_path, phantom, mask, _ = pipeline
-    out = tmp_path / "out.t2t"
-    argv = [str(a).format(phantom=phantom, mask=mask) for a in _GENERATOR_ARGV[command]]
-    assert run(*argv, flag, value, "--out", out) == 2
-    assert not list(tmp_path.glob("out.t2t*"))
-
-
-@pytest.mark.parametrize("command", ["recon", "tsvd", "metrics", "check"])
-def test_negative_seed_is_usage_error(pipeline, capsys, x_step_calls, command):
-    # Every command checks --seed before it runs, so a negative seed
-    # reaches no manifest.
-    tmp_path, phantom, mask, kspace = pipeline
-    cfg = write_config(tmp_path / "cfg.json")
-    before = sorted(tmp_path.rglob("*"))
-    argv = {
-        "recon": ["--kspace", kspace, "--mask", mask, "--config", cfg],
-        "tsvd": ["--tensor", phantom],
-        "metrics": ["--rec", phantom, "--ref", phantom],
-        "check": [],
-    }[command]
-    assert run(command, *argv, "--seed", -1, "--out", tmp_path / "out") == 2
-    assert "seed must be an integer >= 0" in capsys.readouterr().err
-    assert x_step_calls == []
-    assert sorted(tmp_path.rglob("*")) == before
-
-
-def test_negative_config_seed_is_usage_error(pipeline, capsys, x_step_calls):
-    tmp_path, _, mask, kspace = pipeline
-    cfg = write_config(tmp_path / "cfg.json", seed=-1)
-    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
-               "--out", tmp_path / "r.t2t") == 2
-    assert "config key 'seed'" in capsys.readouterr().err
-    assert x_step_calls == []
-    assert not list(tmp_path.glob("r.t2t*"))
-
-
-_SCHEDULE_ENTRY = {"gamma": 1.0, "eta": 1.0, "tau": 0.1}
-
-
-@pytest.mark.parametrize("overrides, key", [
-    ({"rel_tol": float("nan")}, "'rel_tol'"),
-    ({"rel_tol": float("inf")}, "'rel_tol'"),
-    ({"lambda": float("nan")}, "'lambda'"),
-    ({"mu": float("inf")}, "'mu'"),
-    ({"mode": "generalized",
-      "schedule": [{**_SCHEDULE_ENTRY, "gamma": float("nan")}]},
-     "'schedule[0].gamma'"),
-    ({"mode": "generalized",
-      "schedule": [_SCHEDULE_ENTRY, {**_SCHEDULE_ENTRY, "tau": float("inf")}]},
-     "'schedule[1].tau'"),
-    ({"mode": "generalized",
-      "schedule": [{"gamma": 1.0, "eta": 1.0, "a": [-2.0, float("nan"), -2.0, -2.0]}]},
-     "'schedule[0].a'"),
-], ids=["rel_tol-nan", "rel_tol-inf", "lambda-nan", "mu-inf", "gamma-nan", "tau-inf", "a-nan"])
-def test_non_finite_config_number_is_usage_error(pipeline, capsys, overrides, key):
-    tmp_path, _, mask, kspace = pipeline
-    cfg = write_config(tmp_path / "cfg.json", **overrides)
-    assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()
-    out = tmp_path / "r.t2t"
-    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
-               "--out", out) == 2
-    err = capsys.readouterr().err
-    assert key in err and "finite" in err
-    assert not out.exists()
-
-
-# A JSON integer that no float can hold.
-_HUGE = int("1" + "0" * 400)
-
-
-@pytest.mark.parametrize("overrides, message", [
-    ({"lambda": _HUGE}, "config key 'lambda' must be finite"),
-    ({"mode": "generalized", "schedule": [_SCHEDULE_ENTRY, {**_SCHEDULE_ENTRY, "tau": _HUGE}]},
-     "config key 'schedule[1].tau' must be finite"),
-    ({"mode": "generalized", "schedule": [{"gamma": 1.0, "eta": 1.0, "a": [0, _HUGE, 0, 0]}]},
-     "config key 'schedule[0].a' must be finite"),
-    ({"max_iters": _HUGE}, "config: max_iters must be at most"),
-    ({"max_iters": 10**12}, "config: max_iters must be at most"),
-], ids=["lambda", "tau", "a", "max_iters", "max_iters-beyond-bound"])
-def test_number_beyond_the_solver_is_usage_error(pipeline, capsys, x_step_calls,
-                                                 overrides, message):
-    # JSON holds these numbers but no float or list size can: the config is
-    # rejected, no iteration runs and no file is written.
-    tmp_path, _, mask, kspace = pipeline
-    cfg = write_config(tmp_path / "cfg.json", **overrides)
-    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
-               "--out", tmp_path / "r.t2t") == 2
-    assert message in capsys.readouterr().err
-    assert x_step_calls == []
-    assert not list(tmp_path.glob("r.t2t*"))
-
-
-@pytest.mark.parametrize("overrides, key", [
-    ({"max_iter": 3}, "max_iter"),
-    ({"alpha": 1.5}, "alpha"),
-    ({"mode": "generalized", "alpha": 1.5, "schedule": [_SCHEDULE_ENTRY]}, "alpha"),
-    ({"transform": {"knd": "fft"}}, "transform.knd"),
-    ({"transform": {"kind": "fft", "matrix": "m.t2m"}}, "transform.matrix"),
-    ({"mode": "generalized", "schedule": [_SCHEDULE_ENTRY, {**_SCHEDULE_ENTRY, "mu": 0.5}]},
-     "schedule[1].mu"),
-    ({"mode": "generalized",
-      "schedule": [{**_SCHEDULE_ENTRY, "transform": {"kind": "dct", "size": 4}}]},
-     "schedule[0].transform.size"),
-], ids=["max_iter", "alpha", "alpha-generalized", "transform-knd", "transform-matrix",
-        "schedule-mu", "schedule-transform-size"])
-def test_unknown_config_key_is_usage_error(pipeline, capsys, x_step_calls, overrides, key):
-    # A misspelt or unsupported key would otherwise run with its default:
-    # the config is rejected, no iteration runs and no file is written.
-    tmp_path, _, mask, kspace = pipeline
-    cfg = write_config(tmp_path / "cfg.json", **overrides)
-    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
-               "--out", tmp_path / "r.t2t") == 2
-    assert f"config key '{key}' is not recognised" in capsys.readouterr().err
-    assert x_step_calls == []
-    assert not list(tmp_path.glob("r.t2t*"))
-
-
-def test_classic_config_may_carry_a_schedule(pipeline):
-    # One file switches modes by its 'mode' key; a classic run ignores the
-    # schedule. Generalized configs carrying classic keys run elsewhere.
-    tmp_path, _, mask, kspace = pipeline
-    cfg = write_config(tmp_path / "cfg.json", seed=4, schedule=[_SCHEDULE_ENTRY])
-    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
-               "--out", tmp_path / "c.t2t") == 0
-
-
-@pytest.mark.parametrize("entry, message", [
-    ({**_SCHEDULE_ENTRY, "eta": -1}, "'schedule[1]': eta must be finite and nonnegative"),
-    ({**_SCHEDULE_ENTRY, "gamma": -2.0}, "'schedule[1]': gamma must be finite and nonnegative"),
-    ({**_SCHEDULE_ENTRY, "gamma": "fast"}, "'schedule[1].gamma' must be a number"),
-    ({"eta": 1.0, "tau": 0.1}, "'schedule[1].gamma' is required"),
-], ids=["eta-negative", "gamma-negative", "gamma-string", "gamma-missing"])
-def test_schedule_error_names_the_entry(pipeline, capsys, entry, message):
-    tmp_path, _, mask, kspace = pipeline
-    cfg = write_config(tmp_path / "cfg.json", mode="generalized",
-                       schedule=[_SCHEDULE_ENTRY, entry])
-    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
-               "--out", tmp_path / "r.t2t") == 2
-    assert message in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("entry, message", [
-    ({**_SCHEDULE_ENTRY, "tau": -0.1}, "thresholds must be finite and nonnegative"),
-    ({**_SCHEDULE_ENTRY, "a": -2.0}, "exactly one of tau (absolute) and a (relative)"),
-], ids=["tau-negative", "tau-and-a"])
-def test_schedule_value_rejected_before_any_iteration(pipeline, capsys, x_step_calls,
-                                                      entry, message):
-    # The library's rule rejects the entry while the config is read: the
-    # error names it, no iteration runs and no file is written.
-    tmp_path, _, mask, kspace = pipeline
-    cfg = write_config(tmp_path / "cfg.json", mode="generalized",
-                       schedule=[_SCHEDULE_ENTRY, _SCHEDULE_ENTRY, entry])
-    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
-               "--out", tmp_path / "r.t2t") == 2
-    err = capsys.readouterr().err
-    assert "config key 'schedule[2]': " in err and message in err
-    assert x_step_calls == []
-    assert not list(tmp_path.glob("r.t2t*"))
-
-
-@pytest.mark.parametrize("path", [None, 3, ["m.npy"]], ids=["null", "number", "list"])
-@pytest.mark.parametrize("where", ["transform", "schedule"])
-def test_non_string_matrix_path_is_usage_error(pipeline, capsys, path, where):
-    tmp_path, _, mask, kspace = pipeline
-    transform = {"kind": "matrix", "matrix_path": path}
-    if where == "transform":
-        cfg = write_config(tmp_path / "cfg.json", transform=transform)
-        key = "'transform.matrix_path'"
-    else:
-        cfg = write_config(tmp_path / "cfg.json", mode="generalized",
-                           schedule=[{**_SCHEDULE_ENTRY, "transform": transform}])
-        key = "'schedule[0].transform.matrix_path'"
-    out = tmp_path / "r.t2t"
-    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
-               "--out", out) == 2
-    err = capsys.readouterr().err
-    assert key in err and "must be a string" in err
-    assert not out.exists()
-
-
 def _fresh_python(code):
     """Run ``code`` in a fresh interpreter that imports this checkout's ttmri."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, path]))),
-        timeout=120,
-    )
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
 
 
 def test_import_loads_no_scipy():
     # scipy costs start-up time and memory on every ttmri invocation, and
     # the runtime depends on numpy alone; only the tests' oracles use scipy.
     proc = _fresh_python(
-        "import sys, ttmri.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    )
+        "import sys, ttmri.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
 def test_check_runs_without_scipy():
     # With scipy unimportable, every invariant check still runs and passes.
-    proc = _fresh_python(
-        "import sys; sys.modules['scipy'] = None; import ttmri.cli; "
-        "sys.exit(ttmri.cli.main(['check', '--level', 'full']))"
-    )
+    proc = _fresh_python("import sys; sys.modules['scipy'] = None; import ttmri.cli; "
+                         "sys.exit(ttmri.cli.main(['check', '--level', 'full']))")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "17/17 checks passed" in proc.stdout
 
 
-@pytest.mark.parametrize("command", ["forward", "metrics", "tsvd", "recon"])
-def test_non_finite_tensor_entry_is_data_error(pipeline, capsys, x_step_calls, command):
-    # One NaN, the real part of entry 37, in each command's tensor input.
-    tmp_path, phantom, mask, kspace = pipeline
-    bad = tmp_path / "nan.t2t"
-    bad.write_bytes(phantom.read_bytes())
-    with open(bad, "r+b") as fh:
-        fh.seek(fileio._TENSOR_HEADER.size + 37 * 16)
-        fh.write(np.float64(np.nan).tobytes())
-    out = tmp_path / "out"
+# Commands by the inputs they take; "recon" runs classic mode, "radial" and "vds" are mask.
+_GENERATORS, _RECON = ("phantom", "radial", "vds"), ("recon", "generalized")
+_READERS = ("forward", "metrics", "tsvd", *_RECON)
+_COMMANDS = (*_GENERATORS, *_READERS)
+_NEEDS_OUT = tuple(c for c in _COMMANDS if c != "metrics")
+_SUBCOMMAND = {"radial": "mask", "vds": "mask", "generalized": "recon"}
+_TENSOR_FLAG = {"forward": "--image", "metrics": "--rec", "tsvd": "--tensor", "recon": "--ref"}
+# One config file for both modes: classic mode ignores the schedule, generalized mode
+# mu, eta and max_iters; the recon manifest records this seed, not --seed.
+_SCHEDULE = [{"gamma": 2.0, "eta": 1.0, "tau": 0.1},
+             {"gamma": 2.0, "eta": 1.0, "a": -2.0, "transform": {"kind": "dct"}},
+             {"gamma": 2.0, "eta": 1.0, "tau": 0.1}]
+_RECON_CONFIG = {**_CONFIG, "max_iters": 30, "rel_tol": 1e-2, "seed": 11, "schedule": _SCHEDULE}
+
+
+def _solve_in_process(case, files):
+    """The library's solve of ``case``'s recon config, built without the CLI."""
+    matrix = fileio.load_transform_matrix(files.matrix) if case.kind == "matrix" else None
+    transform, spec = make_transform(case.kind, 4, matrix), SamplingSpec(load_mask(files.mask))
+    b = KSpaceVector(load_kspace(files.kspace)[0], spec)
+    if case.command == "recon":
+        return solve(b, spec, AdmmConfig(lam=0.05, mu=0.5, eta=1.0, max_iters=30, rel_tol=1e-2,
+                                         transform=transform), threads=case.threads)
+    schedule = [IterationParams(gamma=2.0, eta=1.0, tau=0.1),
+                IterationParams(gamma=2.0, eta=1.0, a=-2.0, transform=make_transform("dct", 4)),
+                IterationParams(gamma=2.0, eta=1.0, tau=0.1)]
+    return solve_generalized(b, spec, schedule, transform, rel_tol=1e-2, report_lambda=0.05,
+                             threads=case.threads)
+
+
+def _invocation(case, files, work):
+    """A valid invocation of ``case.command`` that writes into ``work``: flags and config."""
+    size = {"--nx": 12, "--ny": 10, "--nt": 4}
     argv = {
-        "forward": ["--image", bad, "--mask", mask],
-        "metrics": ["--rec", bad, "--ref", phantom],
-        "tsvd": ["--tensor", bad],
-        "recon": ["--kspace", kspace, "--mask", mask,
-                  "--config", write_config(tmp_path / "cfg.json"), "--ref", bad],
-    }[command]
-    assert run(command, *argv, "--out", out) == 3
-    assert f"{bad}: entry 37 is not finite" in capsys.readouterr().err
-    assert x_step_calls == []
-    assert not list(tmp_path.glob("out*"))
+        "phantom": {"--kind": "moving_ellipse", **size},
+        "radial": {"--pattern": "radial", "--lines": 3, **size},
+        "vds": {"--pattern": "vds", "--accel": 3.0, **size},
+        "forward": {"--image": files.truth, "--mask": files.mask, "--sigma": 0.1},
+        "recon": {"--kspace": files.kspace, "--mask": files.mask, "--config": work / "cfg.json",
+                  "--ref": files.truth},
+        "tsvd": {"--tensor": files.truth, "--transform": case.kind},
+        "metrics": {"--rec": files.truth, "--ref": files.truth},
+        "check": {"--level": "quick"},
+    }[case.command if case.command != "generalized" else "recon"]
+    transform = {"kind": case.kind}
+    if case.kind == "matrix":
+        transform["matrix_path"] = str(files.matrix)
+        if case.command == "tsvd":
+            argv["--matrix-path"] = files.matrix
+    if case.frames and case.command in ("phantom", *_RECON):
+        argv["--frames-out"] = work / "frames"
+    argv.update({"--seed": case.seed, "--threads": case.threads, "--out": work / "out"})
+    mode = "generalized" if case.command == "generalized" else "classic"
+    cfg = copy.deepcopy({**_RECON_CONFIG, "mode": mode, "transform": transform})
+    return SimpleNamespace(subcommand=_SUBCOMMAND.get(case.command, case.command), argv=argv,
+                           cfg=cfg, work=work)
 
 
-@pytest.mark.parametrize("target", ["config", "sidecar"])
-def test_undecodable_text_input_is_data_error(pipeline, capsys, target):
-    tmp_path, _, mask, kspace = pipeline
-    cfg = write_config(tmp_path / "cfg.json")
-    undecodable = b"\xff\xfe\x80 not utf-8"
-    if target == "config":
-        cfg.write_bytes(undecodable)
-    else:
-        (tmp_path / "b.t2k.mask").write_bytes(undecodable)
-    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
-               "--out", tmp_path / "r.t2t") == 3
-    assert capsys.readouterr().err.startswith("error: ")
+_DROP = object()  # a planted value that removes the flag or key
 
 
-_MANIFEST_KEYS = {
-    "command", "version", "seed", "threads", "parameters", "inputs", "outputs", "wall_time_s",
+def _plant(inv, changes):
+    """Set each flag ("--seed", or "tensor": the tensor input) or config key path
+    ("schedule.1.gamma") of ``changes``; a callable value maps the old value to the new."""
+    for where, value in changes.items():
+        target, key = inv.argv, _TENSOR_FLAG[inv.subcommand] if where == "tensor" else where
+        if not where.startswith("--") and where != "tensor":
+            *path, key = where.split(".")
+            target = inv.cfg
+            for k in path:
+                target = target[int(k)] if isinstance(target, list) else target[k]
+        value = value(inv, target.get(key)) if callable(value) else value
+        if value is _DROP:
+            del target[key]
+        else:
+            target[key] = value
+
+
+def _written(save, obj):
+    """A new file of the work directory, written by ``save(path, obj)``."""
+    return lambda inv, old: (save(inv.work / "planted", obj), inv.work / "planted")[1]
+
+
+def _bytes(data):
+    return _written(Path.write_bytes, data)
+
+
+def _copied(offset=0, data=b"", sidecar=None):
+    """A copy of the old file with ``data`` at ``offset``; ``sidecar`` is its .mask file."""
+    def value(inv, old):
+        new, raw = inv.work / Path(old).name, Path(old).read_bytes()
+        new.write_bytes(raw[:offset] + data + raw[offset + len(data):])
+        if sidecar is not None:
+            Path(f"{new}.mask").write_bytes(sidecar)
+        return new
+    return value
+
+
+def _each(where, values, message, commands=_COMMANDS):
+    """A usage-error row per value (or named value) at ``where``, named ``<where>-<name>``."""
+    named = values if isinstance(values, dict) else {v: v for v in values}
+    return {f"{where.lstrip('-')}-{k}": (commands, {where: v}, 2, message)
+            for k, v in named.items()}
+
+
+_HUGE = int("1" + "0" * 400)  # a JSON integer that no float can hold
+_NAN = np.float64(np.nan).tobytes()
+_G, _T = ("generalized",), ("tsvd",)
+
+# Name: (commands, changes planted, exit code, message fragment).
+_FAULTS = {
+    **_each("--seed", (-1,), "seed must be an integer >= 0", (*_COMMANDS, "check")),
+    **_each("--threads", (-1, -3), "must be a nonnegative integer"),
+    **{k: row for dim in ("nx", "ny", "nt") for k, row in _each(
+        f"--{dim}", (0, -1, -3), f"{dim} must be an integer >= 1", _GENERATORS).items()},
+    **_each("--accel", (1, np.nan, np.inf), "must be finite and exceed 1", ("vds",)),
+    **_each("--theta0", (np.nan, np.inf), "theta0 must be finite", ("radial",)),
+    **_each("--sigma", (np.nan, np.inf), "noise level must be finite", ("forward",)),
+    "out-missing": (_NEEDS_OUT, {"--out": _DROP}, 2, "--out is required"),
+    "matrix-path-missing": (_T, {"--transform": "matrix", "--matrix-path": ""}, 2, "is required"),
+    "matrix-path-unused": (_T, {"--transform": "fft", "--matrix-path": "u.t2m"}, 2,
+                           "--matrix-path is only for --transform matrix, not 'fft'"),
+    "frames-out-file": (("phantom", *_RECON), {"--frames-out": _bytes(b"")}, 3, "not a directory"),
+    # Input files
+    "file-absent": (_READERS, {"tensor": lambda inv, old: inv.work / "absent"}, 3, "not found"),
+    "file-corrupt": (_READERS, {"tensor": _bytes(b"garbage")}, 3, "truncated header"),
+    "entry-nan": (_READERS, {"tensor": _copied(fileio._TENSOR_HEADER.size + 37 * 16, _NAN)}, 3,
+                  ": entry 37 is not finite"),
+    "sample-nan": (_RECON, {"--kspace": _copied(fileio._KSPACE_HEADER.size + 5 * 16, _NAN)}, 3,
+                   ": sample 5 is not finite"),
+    "sidecar-undecodable": (_RECON, {"--kspace": _copied(sidecar=b"\xff\xfe")}, 3, "is not text"),
+    "mask-other-count": (_RECON, {"--mask": _written(fileio.save_mask, gen_pseudo_radial_mask(
+        8, 8, 4, lines=2, seed=1))}, 3, "does not match mask count"),
+    "ref-other-dims": (_RECON, {"--ref": _written(save_tensor, rand_tensor(np.random.default_rng(
+        0), (8, 8, 8)))}, 3, "dimension mismatch: (8, 8, 4) vs (8, 8, 8)"),
+    "ref-zero": (_RECON, {"--ref": _written(save_tensor, ComplexTensor3.zeros((8, 8, 4)))}, 2,
+                 "reference tensor is identically zero"),
+    "matrix-nan": (_T, {"--transform": "matrix", "--matrix-path": _written(
+        save_transform_matrix, np.diag([1, 1, np.nan, 1]))}, 4, "not unitary"),
+    "config-not-json": (_RECON, {"--config": _bytes(b"{not")}, 3, "config is not valid JSON"),
+    "config-undecodable": (_RECON, {"--config": _bytes(b"\xff\xfe")}, 3, "is not valid JSON"),
+    "config-long-int": (_RECON, {"--config": _bytes(b'{"lambda": 1' + b"0" * 5000 + b"}")}, 3,
+                        "config is not valid JSON"),
+    # Config values
+    "lambda-missing": (("recon",), {"lambda": _DROP}, 2, "config key 'lambda' is required"),
+    "seed-config": (_RECON, {"seed": -1}, 2, "config key 'seed': seed must be an integer >= 0"),
+    **_each("lambda", {"nan": np.nan, "huge": _HUGE}, "config key 'lambda' must be finite", _RECON),
+    **_each("rel_tol", (np.nan, np.inf), "config key 'rel_tol' must be finite", _RECON),
+    **_each("lambda", (-1,), "config: lambda must be finite and nonnegative, got -1.0", _RECON),
+    **_each("rel_tol", (-1,), "config: rel_tol must be nonnegative, got -1.0", _RECON),
+    **_each("mu", (np.inf,), "config key 'mu' must be finite", ("recon",)),
+    **_each("max_iters", {"huge": _HUGE, "beyond-bound": 10**12}, "max_iters must be at most",
+            ("recon",)),
+    "gamma-nan": (_G, {"schedule.0.gamma": np.nan}, 2, "'schedule[0].gamma' must be finite"),
+    "gamma-negative": (_G, {"schedule.1.gamma": -2}, 2, "'schedule[1]': gamma must be finite"),
+    "gamma-string": (_G, {"schedule.1.gamma": "x"}, 2, "'schedule[1].gamma' must be a number"),
+    "gamma-missing": (_G, {"schedule.1.gamma": _DROP}, 2, "'schedule[1].gamma' is required"),
+    "eta-negative": (_G, {"schedule.1.eta": -1}, 2, "'schedule[1]': eta must be finite"),
+    "tau-inf": (_G, {"schedule.2.tau": np.inf}, 2, "'schedule[2].tau' must be finite"),
+    "tau-huge": (_G, {"schedule.2.tau": _HUGE}, 2, "'schedule[2].tau' must be finite"),
+    "tau-negative": (_G, {"schedule.2.tau": -0.1}, 2, "'schedule[2]': thresholds must be finite"),
+    "tau-and-a": (_G, {"schedule.2.a": -2.0}, 2, "'schedule[2]': exactly one of tau (absolute)"),
+    "a-nan": (_G, {"schedule.1.a": [-2, np.nan, -2, -2]}, 2, "'schedule[1].a' must be finite"),
+    "a-huge": (_G, {"schedule.1.a": [0, _HUGE, 0, 0]}, 2, "'schedule[1].a' must be finite"),
+    # Config keys: unknown, or a matrix path that is not a string or not for a matrix
+    **{key.replace(".", "-"): (_RECON, {key: 1}, 2, f"config key '{key}' is not recognised")
+       for key in ("max_iter", "alpha", "transform.knd", "transform.matrix")},
+    "schedule-mu": (_G, {"schedule.1.mu": 1}, 2, "key 'schedule[1].mu' is not recognised"),
+    "schedule-transform-size": (_G, {"schedule.1.transform.size": 4}, 2,
+                                "key 'schedule[1].transform.size' is not recognised"),
+    **{f"{where}-{name}": (_RECON if where == "transform" else _G, {
+        f"{key}.kind": "matrix", f"{key}.matrix_path": path}, 2,
+        f"'{key.replace('.1', '[1]')}.matrix_path' must be a string")
+       for where, key in (("transform", "transform"), ("schedule", "schedule.1.transform"))
+       for name, path in (("null", None), ("number", 3), ("list", ["u.t2m"]))},
+    "matrix_path-unused": (_RECON, {"transform.kind": "fft", "transform.matrix_path": "u.t2m"}, 2,
+                           "key 'transform.matrix_path' is only for kind 'matrix', not 'fft'"),
+    "schedule-matrix_path-unused": (_G, {"schedule.1.transform.matrix_path": "u.t2m"}, 2,
+        "key 'schedule[1].transform.matrix_path' is only for kind 'matrix', not 'dct'"),
+    # Schedules that diverge mid-solve
+    "huge-gamma": (_G, {"schedule": [{"gamma": 1e308, "eta": 1.0, "tau": 1e308}]}, 4,
+                   "non-finite iterate at iteration 1"),
+    "huge-eta": (_G, {"schedule": [{"gamma": 1.0, "eta": 1e308, "tau": 0.1}] * 2}, 4,
+                 "non-finite iterate at iteration 2"),
 }
 
+# Per command: the manifest's parameter keys, its input keys and its count of outputs.
+_MANIFESTS = {
+    "phantom": ("kind nx ny nt rank phantom_transform", "", 1),
+    "radial": ("pattern lines freeze_angles theta0 nx ny nt m", "", 1),
+    "vds": ("pattern accel nx ny nt m", "", 1), "forward": ("sigma m", "image mask", 2),
+    "recon": ("mode config iterations_run blas_threads", "kspace mask ref", 2),
+    "tsvd": ("transform matrix_path", "tensor", 4),
+}
+_MANIFEST_KEYS = set("command version seed threads parameters inputs outputs wall_time_s".split())
 
-def test_manifest_keys_of_every_file_producing_command(pipeline, tmp_path):
-    _, phantom, mask, kspace = pipeline
-    cfg = write_config(tmp_path / "cfg.json", seed=11)
-    rec = tmp_path / "rec.t2t"
-    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
-               "--ref", phantom, "--seed", 4, "--out", rec) == 0
-    assert run("tsvd", "--tensor", rec, "--transform", "dct", "--seed", 4,
-               "--out", tmp_path / "fac") == 0
-    expected = {
-        "truth.t2t": ("phantom", 1, {"kind", "nx", "ny", "nt", "rank", "phantom_transform"},
-                      set(), 1),
-        "mask.t2t": ("mask", 1, {"pattern", "lines", "freeze_angles", "theta0",
-                                 "nx", "ny", "nt", "m"}, set(), 1),
-        "b.t2k": ("forward", 0, {"sigma", "m"}, {"image", "mask"}, 2),
-        "rec.t2t": ("recon", 11, {"mode", "config", "iterations_run", "blas_threads"},
-                    {"kspace", "mask", "ref"}, 2),
-        "fac": ("tsvd", 4, {"transform", "matrix_path"}, {"tensor"}, 4),
-    }
-    for out, (command, seed, params, inputs, n_outputs) in expected.items():
-        manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+
+def _main(argv):
+    """``main(argv)``'s exit code (argparse's exit included), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_contract(files, case):
+    commands, changes, code, message = _FAULTS.get(case.fault, (_COMMANDS, {}, 0, ""))
+    assert case.command in commands
+    with tempfile.TemporaryDirectory() as tmp, counted_x_steps() as x_steps:
+        work = Path(tmp)
+        inv = _invocation(case, files, work)
+        _plant(inv, changes)
+        if case.command in _RECON:
+            (work / "cfg.json").write_text(json.dumps(inv.cfg))
+        before = set(work.rglob("*"))
+        exit_code, out, err = _main([inv.subcommand, *(x for kv in inv.argv.items() for x in kv)])
+        written = set(work.rglob("*")) - before
+        assert exit_code == code, err
+        if code:
+            assert out == "" and message in err and not written
+            assert code == cli.EXIT_NUMERIC or not x_steps
+            return
+        if case.command == "metrics":
+            assert out == "SNR_dB: inf\n" and written == {work / "out"}
+            return
+        manifest_path = work / "out.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        params, inputs, n_outputs = _MANIFESTS.get(case.command) or _MANIFESTS[inv.subcommand]
+        seed = _RECON_CONFIG["seed"] if case.command in _RECON else case.seed
         assert set(manifest) == _MANIFEST_KEYS
-        assert manifest["command"] == command
-        assert manifest["seed"] == seed
-        assert manifest["threads"] == 0
-        assert set(manifest["parameters"]) == params
-        assert set(manifest["inputs"]) == inputs
-        assert len(manifest["outputs"]) == n_outputs
-        assert manifest["wall_time_s"] >= 0
-    recon = json.loads((tmp_path / "rec.t2t.manifest.json").read_text())
-    outside_svd, svd = tsvd._blas_thread_counts()
-    assert recon["parameters"]["blas_threads"] == {"outside_svd": outside_svd, "svd": svd}
+        assert [manifest[k] for k in ("command", "seed", "threads")] == [
+            inv.subcommand, seed, case.threads]
+        assert set(manifest["parameters"]) == set(params.split())
+        assert set(manifest["inputs"]) == set(inputs.split())
+        assert len(manifest["outputs"]) == n_outputs + 4 * ("--frames-out" in inv.argv)
+        assert {p for p in written if p.is_file()} == {*map(Path, manifest["outputs"]),
+                                                       manifest_path}
+        if case.command == "radial":  # the library's mask
+            expected = gen_pseudo_radial_mask(12, 10, 4, lines=3, seed=case.seed)
+            assert np.array_equal(load_mask(work / "out"), expected.mask)
+            assert manifest["parameters"]["m"] == expected.m
+        if case.command == "forward":  # the library's noisy samples, and the mask's path
+            spec = SamplingSpec(load_mask(files.mask))
+            expected = add_noise(mri.forward(load_tensor(files.truth), spec), 0.1, case.seed)
+            values, mask_path = load_kspace(work / "out")
+            assert np.array_equal(values, expected.values) and mask_path == str(files.mask)
+        if case.command in _RECON:  # as the library solves it, and the SNR as metrics prints it
+            report = _solve_in_process(case, files)
+            assert np.array_equal(load_tensor(work / "out").slices, report.reconstruction.slices)
+            header, *rows = (work / "out.history.csv").read_text().splitlines()
+            assert header == "iter,objective,fidelity,ttnn,primal_residual,elapsed_ms"
+            assert len(rows) == report.iterations_run == manifest["parameters"]["iterations_run"]
+            for row, stats in zip(rows, report.history):  # all but elapsed_ms
+                assert [float(v) for v in row.split(",")[:-1]] == [*dataclasses.astuple(stats)][:-1]
+            assert out == _main(["metrics", "--rec", work / "out", "--ref", files.truth])[1]
+            assert manifest["parameters"]["blas_threads"] == dict(
+                zip(("outside_svd", "svd"), tsvd._blas_thread_counts()))
 
 
-@pytest.mark.parametrize("mode", ["classic", "generalized"])
-def test_history_csv_matches_in_process_solve(pipeline, mode):
-    tmp_path, _, mask, kspace = pipeline
-    fft = make_transform("fft", 4)
-    if mode == "classic":
-        cfg = write_config(tmp_path / "cfg.json", rel_tol=1e-3, max_iters=30)
-        config = AdmmConfig(lam=0.05, mu=0.5, eta=1.0, max_iters=30, rel_tol=1e-3,
-                            transform=fft)
-        expected = lambda b, spec: solve(b, spec, config)  # noqa: E731
-    else:
-        schedule = [{"gamma": 2.0, "eta": 1.0, "tau": 0.1},
-                    {"gamma": 2.0, "eta": 1.0, "a": [-2.0] * 4, "transform": {"kind": "dct"}}] * 3
-        cfg = write_config(tmp_path / "cfg.json", mode="generalized", schedule=schedule)
-        params = [IterationParams(gamma=2.0, eta=1.0, tau=0.1),
-                  IterationParams(gamma=2.0, eta=1.0, a=np.full(4, -2.0),
-                                  transform=make_transform("dct", 4))] * 3
-        expected = lambda b, spec: solve_generalized(  # noqa: E731
-            b, spec, params, fft, rel_tol=0.0, report_lambda=0.05)
-    rec = tmp_path / "rec.t2t"
-    assert run("recon", "--kspace", kspace, "--mask", mask, "--config", cfg,
-               "--out", rec) == 0
-    spec = SamplingSpec(load_mask(mask))
-    report = expected(KSpaceVector(load_kspace(kspace)[0], spec), spec)
-    with open(tmp_path / "rec.t2t.history.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == len(report.history) == report.iterations_run
-    for row, stats in zip(rows, report.history):
-        want = dataclasses.asdict(stats)
-        assert int(row["iter"]) == want.pop("iteration")
-        want.pop("elapsed_ms")
-        assert {k: float(row[k]) for k in want} == want
-    assert np.array_equal(load_tensor(rec).slices, report.reconstruction.slices)
+@st.composite
+def _cases(draw):
+    fault = draw(st.none() | st.sampled_from(sorted(_FAULTS)))
+    commands = _FAULTS[fault][0] if fault else _COMMANDS
+    return _Case(draw(st.sampled_from([c for c in commands if c != "check"])), fault,
+                 seed=draw(st.integers(0, 2**32 - 1)), threads=draw(st.sampled_from((0, 2))),
+                 kind=draw(st.sampled_from(KINDS)), frames=draw(st.booleans()))
+
+
+# Pinned: faults that once ran the solve or wrote files before failing, or ran to exit 0.
+@settings(max_examples=400)
+@given(case=_cases())
+@example(case=_Case("tsvd", "matrix-path-unused"))
+@example(case=_Case("recon", "matrix_path-unused"))
+@example(case=_Case("generalized", "schedule-matrix_path-unused"))
+@example(case=_Case("generalized", "lambda--1"))
+@example(case=_Case("generalized", "rel_tol--1"))
+@example(case=_Case("phantom", "frames-out-file"))
+@example(case=_Case("recon", "frames-out-file"))
+def test_input_contract(files, case):
+    _check_contract(files, case)
+
+
+# The earlier tests of the contract keep their ids, each running its case.
+test_missing_out_is_usage_error = _pinned(_Case("phantom", "out-missing"))
+test_corrupt_tensor_is_data_error = _pinned(_Case("tsvd", "file-corrupt"))
+test_negative_config_seed_is_usage_error = _pinned(_Case("recon", "seed-config"))
+test_classic_config_may_carry_a_schedule = _pinned(_Case("recon"))
+test_history_csv_matches_in_process_solve = _pinned(
+    {"classic": _Case("recon", kind="dct"), "generalized": _Case("generalized", kind="matrix")})
+test_negative_threads_is_usage_error = _pinned(_ids("phantom", "-1 -3", "threads-{}"))
+test_negative_seed_is_usage_error = _pinned(_ids("{}", "check metrics recon tsvd", "seed--1"))
+test_non_finite_tensor_entry_is_data_error = _pinned(
+    _ids("{}", "forward metrics recon tsvd", "entry-nan"))
+test_bad_generator_flag_is_usage_error = _pinned({f"{c}---{f}": _Case(c, f) for c, faults in (
+    ("phantom", "nx--3 nx-0 nt-0 seed--1"), ("radial", "nt-0 seed--1 theta0-inf theta0-nan"),
+    ("vds", "accel-inf accel-nan nt--1 ny-0 seed--1"), ("forward", "seed--1 sigma-inf sigma-nan"),
+) for f in faults.split()})
+test_non_finite_config_number_is_usage_error = _pinned({
+    **_ids("recon", "rel_tol-nan rel_tol-inf lambda-nan mu-inf"),
+    **_ids("generalized", "gamma-nan tau-inf a-nan")})
+test_number_beyond_the_solver_is_usage_error = _pinned({
+    **_ids("recon", "lambda max_iters", "{}-huge"), **_ids("generalized", "tau a", "{}-huge"),
+    "max_iters-beyond-bound": _Case("recon", "max_iters-beyond-bound")})
+test_unknown_config_key_is_usage_error = _pinned({
+    **_ids("recon", "max_iter alpha transform-knd transform-matrix"),
+    **_ids("generalized", "schedule-mu schedule-transform-size"),
+    "alpha-generalized": _Case("generalized", "alpha")})
+test_schedule_error_names_the_entry = _pinned(
+    _ids("generalized", "eta-negative gamma-negative gamma-string gamma-missing"))
+test_schedule_value_rejected_before_any_iteration = _pinned(
+    _ids("generalized", "tau-negative tau-and-a"))
+test_non_string_matrix_path_is_usage_error = _pinned({
+    **_ids("recon", "transform-null transform-number transform-list"),
+    **_ids("generalized", "schedule-null schedule-number schedule-list")})
+test_undecodable_text_input_is_data_error = _pinned(
+    _ids("recon", "config sidecar", "{}-undecodable"))
+test_manifest_keys_of_every_file_producing_command = _pinned(
+    tuple(_Case(command, seed=4) for command in _NEEDS_OUT))

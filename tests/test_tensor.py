@@ -169,7 +169,7 @@ class TestArithmetic:
         assert np.array_equal(x.to_array(), arr)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.integers(0, 1000))
 def test_inner_product_conjugate_symmetry(n1, n2, n3, seed):
     rng = np.random.default_rng(seed)
@@ -179,7 +179,7 @@ def test_inner_product_conjugate_symmetry(n1, n2, n3, seed):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.integers(0, 1000))
 def test_triangle_inequality(n1, n2, n3, seed):
     rng = np.random.default_rng(seed)
@@ -187,7 +187,7 @@ def test_triangle_inequality(n1, n2, n3, seed):
     assert frobenius_norm(a + b) <= frobenius_norm(a) + frobenius_norm(b) + 1e-12
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.integers(0, 1000))
 def test_norm_squared_equals_real_self_inner(n1, n2, n3, seed):
     rng = np.random.default_rng(seed)

@@ -313,7 +313,7 @@ def _tsvd_draws(draw):
 
 
 # Pinned cases, one per behaviour named in its comment.
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(case=_tsvd_draws())
 @example(case=_Draw((5, 4, 3), "fft", "random", 0.0, seed=17))  # zero threshold returns input
 @example(case=_Draw((5, 4, 3), "fft", "random", 1e3, seed=18))  # full shrinkage returns zero
