@@ -34,8 +34,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
-import stat
 import sys
 import time
 from pathlib import Path
@@ -110,13 +108,7 @@ def _require_file(path, role):
 
 def _check_frames_dir(path):
     """Reject a ``--frames-out`` that exists and is not a directory, before any output."""
-    if not path:
-        return
-    try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        return
-    if not stat.S_ISDIR(mode):
+    if path and Path(path).exists() and not Path(path).is_dir():
         raise DataFormatError(f"--frames-out is not a directory: {path}")
 
 
@@ -357,7 +349,8 @@ def _cmd_tsvd(args):
     if args.transform == "matrix" and not args.matrix_path:
         raise ParameterError("--matrix-path is required for --transform matrix")
     if args.transform != "matrix" and args.matrix_path is not None:
-        raise ParameterError(f"--matrix-path is only for --transform matrix, not {args.transform!r}")
+        raise ParameterError(
+            f"--matrix-path is only for --transform matrix, not {args.transform!r}")
     x = fileio.load_tensor(_require_file(args.tensor, "tensor"))
     transform = _make_transform(args.transform, x.dims[2], args.matrix_path, "matrix")
     factors = tsvd.tt_svd(x, transform, threads=args.threads)

@@ -15,10 +15,27 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ttmri import (AdmmConfig, ComplexTensor3, DataFormatError, DimensionError, DivergenceError,
-                   IterationParams, KSpaceVector, NumericError, ParameterError, SamplingSpec,
-                   TtmriError, UnitarityError, add_noise, cli, fileio, gen_pseudo_radial_mask,
-                   make_transform, mri, solve, solve_generalized, sum_rank, tsvd)
+from ttmri import (
+    AdmmConfig,
+    ComplexTensor3,
+    DataFormatError,
+    DimensionError,
+    DivergenceError,
+    IterationParams,
+    KSpaceVector,
+    NumericError,
+    ParameterError,
+    SamplingSpec,
+    TtmriError,
+    UnitarityError,
+    add_noise,
+    gen_pseudo_radial_mask,
+    make_transform,
+    solve,
+    solve_generalized,
+    sum_rank,
+)
+from ttmri import cli, fileio, mri, tsvd
 from ttmri.cli import ConfigError, main
 from ttmri.fileio import load_kspace, load_mask, load_tensor, save_tensor, save_transform_matrix
 from ttmri.transforms import KINDS
@@ -101,10 +118,12 @@ class TestMaskCommand:
     test_radial_matches_library_generator = _pinned(_Case("radial", seed=3))
 
     def test_vds(self, tmp_path):
+        out = tmp_path / "m.t2t"
         assert run("mask", "--pattern", "vds", "--accel", 4.0, "--nx", 32,
-                   "--ny", 32, "--nt", 2, "--seed", 0, "--out", tmp_path / "m.t2t") == 0
-        mask = load_mask(tmp_path / "m.t2t")
-        assert mask.shape == (2, 32, 32) and abs(mask.mean() - 0.25) < 0.05
+                   "--ny", 32, "--nt", 2, "--seed", 0, "--out", out) == 0
+        mask = load_mask(out)
+        assert mask.shape == (2, 32, 32)
+        assert abs(mask.sum() / mask.size - 0.25) < 0.05
 
 
 class TestForwardCommand:
@@ -141,10 +160,14 @@ class TestTsvdCommand:
     test_non_finite_matrix_is_numeric_error = _pinned(_Case("tsvd", "matrix-nan"))
 
     def test_zero_tensor(self, tmp_path, capsys):
-        save_tensor(tmp_path / "z.t2t", ComplexTensor3.zeros((4, 5, 3)))
-        assert run("tsvd", "--tensor", tmp_path / "z.t2t", "--transform", "fft",
+        zero = tmp_path / "z.t2t"
+        save_tensor(zero, ComplexTensor3.zeros((4, 5, 3)))
+        assert run("tsvd", "--tensor", zero, "--transform", "fft",
                    "--out", tmp_path / "fac") == 0
-        assert capsys.readouterr().out == "TTNN: 0\nmultirank: 0 0 0\nsum_rank: 0\n"
+        out = capsys.readouterr().out
+        assert "TTNN: 0" in out
+        assert "multirank: 0 0 0" in out
+        assert "sum_rank: 0" in out
         for suffix in ("_U.t2t", "_S.t2t", "_V.t2t", "_sv.txt"):
             assert (tmp_path / f"fac{suffix}").exists()
 
@@ -154,17 +177,24 @@ class TestTsvdCommand:
                    "--ny", 12, "--nt", 4, "--seed", 5, "--out", phantom) == 0
         assert run("tsvd", "--tensor", phantom, "--transform", "fft",
                    "--out", tmp_path / "fac") == 0
-        reported = int(capsys.readouterr().out.strip().splitlines()[-1].split(":")[1])
+        out = capsys.readouterr().out
+        reported = int(out.strip().splitlines()[-1].split(":")[1])
         assert reported <= 2 * 4
-        assert reported == sum_rank(load_tensor(phantom), make_transform("fft", 4))
+        x = load_tensor(phantom)
+        assert reported == sum_rank(x, make_transform("fft", 4))
 
     def test_sv_listing_descending(self, tmp_path):
-        save_tensor(tmp_path / "x.t2t", rand_tensor(np.random.default_rng(11), (5, 4, 3)))
-        assert run("tsvd", "--tensor", tmp_path / "x.t2t", "--transform", "dct",
+        rng = np.random.default_rng(11)
+        path = tmp_path / "x.t2t"
+        save_tensor(path, rand_tensor(rng, (5, 4, 3)))
+        assert run("tsvd", "--tensor", path, "--transform", "dct",
                    "--out", tmp_path / "fac") == 0
-        rows = [[float(v) for v in line.split()]
-                for line in (tmp_path / "fac_sv.txt").read_text().splitlines()]
-        assert len(rows) == 3 and all(len(r) == 4 and r == sorted(r, reverse=True) for r in rows)
+        lines = (tmp_path / "fac_sv.txt").read_text().strip().splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            vals = [float(v) for v in line.split()]
+            assert len(vals) == 4
+            assert vals == sorted(vals, reverse=True)
 
 
 class TestMetricsCommand:
@@ -176,7 +206,8 @@ class TestCheckCommand:
     def test_quick_level_passes(self, capsys):
         assert run("check", "--level", "quick") == 0
         out = capsys.readouterr().out
-        assert "FAIL" not in out and out.strip().splitlines()[-1].endswith("checks passed")
+        assert "FAIL" not in out
+        assert out.strip().splitlines()[-1].endswith("checks passed")
 
     def test_a_fault_in_the_loop_fails_the_step_check(self, monkeypatch, capsys):
         plant_in_iterate(monkeypatch, "gamma_scaled")
@@ -186,10 +217,14 @@ class TestCheckCommand:
 
 
 @pytest.mark.parametrize("exc, code", [
-    (ParameterError("bad option"), 2), (ConfigError("config key 'mu' must be positive"), 2),
-    (DataFormatError("bad file"), 3), (DimensionError("bad dims"), 3),
-    (OSError("disk full"), 3), (TtmriError("other"), 3),
-    (UnitarityError("not unitary", 1e-3), 4), (NumericError("no convergence"), 4),
+    (ParameterError("bad option"), 2),
+    (ConfigError("config key 'mu' must be positive"), 2),
+    (DataFormatError("bad file"), 3),
+    (DimensionError("bad dims"), 3),
+    (OSError("disk full"), 3),
+    (TtmriError("other"), 3),
+    (UnitarityError("not unitary", 1e-3), 4),
+    (NumericError("no convergence"), 4),
     (DivergenceError("non-finite iterate", 5), 4),
 ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
 def test_exit_code_of_each_error(monkeypatch, capsys, tmp_path, exc, code):
@@ -203,25 +238,33 @@ def test_exit_code_of_each_error(monkeypatch, capsys, tmp_path, exc, code):
 
 def _fresh_python(code):
     """Run ``code`` in a fresh interpreter that imports this checkout's ttmri."""
-    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          timeout=120)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, path]))),
+        timeout=120,
+    )
 
 
 def test_import_loads_no_scipy():
     # scipy costs start-up time and memory on every ttmri invocation, and
     # the runtime depends on numpy alone; only the tests' oracles use scipy.
     proc = _fresh_python(
-        "import sys, ttmri.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        "import sys, ttmri.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
 def test_check_runs_without_scipy():
     # With scipy unimportable, every invariant check still runs and passes.
-    proc = _fresh_python("import sys; sys.modules['scipy'] = None; import ttmri.cli; "
-                         "sys.exit(ttmri.cli.main(['check', '--level', 'full']))")
+    proc = _fresh_python(
+        "import sys; sys.modules['scipy'] = None; import ttmri.cli; "
+        "sys.exit(ttmri.cli.main(['check', '--level', 'full']))"
+    )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "17/17 checks passed" in proc.stdout
 
@@ -299,7 +342,7 @@ def _plant(inv, changes):
                 target = target[int(k)] if isinstance(target, list) else target[k]
         value = value(inv, target.get(key)) if callable(value) else value
         if value is _DROP:
-            del target[key]
+            target.pop(key, None)
         else:
             target[key] = value
 
@@ -334,18 +377,23 @@ def _each(where, values, message, commands=_COMMANDS):
 _HUGE = int("1" + "0" * 400)  # a JSON integer that no float can hold
 _NAN = np.float64(np.nan).tobytes()
 _G, _T = ("generalized",), ("tsvd",)
+_NOT_STRINGS = {"null": None, "number": 3, "list": ["u.t2m"]}
 
 # Name: (commands, changes planted, exit code, message fragment).
 _FAULTS = {
     **_each("--seed", (-1,), "seed must be an integer >= 0", (*_COMMANDS, "check")),
     **_each("--threads", (-1, -3), "must be a nonnegative integer"),
-    **{k: row for dim in ("nx", "ny", "nt") for k, row in _each(
-        f"--{dim}", (0, -1, -3), f"{dim} must be an integer >= 1", _GENERATORS).items()},
+    **_each("--nx", (0, -1, -3), "nx must be an integer >= 1", _GENERATORS),
+    **_each("--ny", (0, -1, -3), "ny must be an integer >= 1", _GENERATORS),
+    **_each("--nt", (0, -1, -3), "nt must be an integer >= 1", _GENERATORS),
     **_each("--accel", (1, np.nan, np.inf), "must be finite and exceed 1", ("vds",)),
     **_each("--theta0", (np.nan, np.inf), "theta0 must be finite", ("radial",)),
     **_each("--sigma", (np.nan, np.inf), "noise level must be finite", ("forward",)),
     "out-missing": (_NEEDS_OUT, {"--out": _DROP}, 2, "--out is required"),
-    "matrix-path-missing": (_T, {"--transform": "matrix", "--matrix-path": ""}, 2, "is required"),
+    "matrix-path-missing": (_T, {"--transform": "matrix", "--matrix-path": _DROP}, 2,
+                            "--matrix-path is required for --transform matrix"),
+    "matrix-path-empty": (_T, {"--transform": "matrix", "--matrix-path": ""}, 2,
+                          "--matrix-path is required for --transform matrix"),
     "matrix-path-unused": (_T, {"--transform": "fft", "--matrix-path": "u.t2m"}, 2,
                            "--matrix-path is only for --transform matrix, not 'fft'"),
     "frames-out-file": (("phantom", *_RECON), {"--frames-out": _bytes(b"")}, 3, "not a directory"),
@@ -396,11 +444,12 @@ _FAULTS = {
     "schedule-mu": (_G, {"schedule.1.mu": 1}, 2, "key 'schedule[1].mu' is not recognised"),
     "schedule-transform-size": (_G, {"schedule.1.transform.size": 4}, 2,
                                 "key 'schedule[1].transform.size' is not recognised"),
-    **{f"{where}-{name}": (_RECON if where == "transform" else _G, {
-        f"{key}.kind": "matrix", f"{key}.matrix_path": path}, 2,
-        f"'{key.replace('.1', '[1]')}.matrix_path' must be a string")
-       for where, key in (("transform", "transform"), ("schedule", "schedule.1.transform"))
-       for name, path in (("null", None), ("number", 3), ("list", ["u.t2m"]))},
+    **{f"transform-{name}": (_RECON, {"transform": {"kind": "matrix", "matrix_path": path}}, 2,
+                             "config key 'transform.matrix_path' must be a string")
+       for name, path in _NOT_STRINGS.items()},
+    **{f"schedule-{name}": (_G, {"schedule.1.transform": {"kind": "matrix", "matrix_path": path}},
+                            2, "config key 'schedule[1].transform.matrix_path' must be a string")
+       for name, path in _NOT_STRINGS.items()},
     "matrix_path-unused": (_RECON, {"transform.kind": "fft", "transform.matrix_path": "u.t2m"}, 2,
                            "key 'transform.matrix_path' is only for kind 'matrix', not 'fft'"),
     "schedule-matrix_path-unused": (_G, {"schedule.1.transform.matrix_path": "u.t2m"}, 2,
@@ -458,7 +507,7 @@ def _check_contract(files, case):
         manifest = json.loads(manifest_path.read_text())
         params, inputs, n_outputs = _MANIFESTS.get(case.command) or _MANIFESTS[inv.subcommand]
         seed = _RECON_CONFIG["seed"] if case.command in _RECON else case.seed
-        assert set(manifest) == _MANIFEST_KEYS
+        assert set(manifest) == _MANIFEST_KEYS and manifest["wall_time_s"] >= 0
         assert [manifest[k] for k in ("command", "seed", "threads")] == [
             inv.subcommand, seed, case.threads]
         assert set(manifest["parameters"]) == set(params.split())
@@ -466,6 +515,13 @@ def _check_contract(files, case):
         assert len(manifest["outputs"]) == n_outputs + 4 * ("--frames-out" in inv.argv)
         assert {p for p in written if p.is_file()} == {*map(Path, manifest["outputs"]),
                                                        manifest_path}
+        if "--frames-out" in inv.argv:
+            assert sorted(p.name for p in (work / "frames").iterdir()) == [
+                "frame_001.pgm", "frame_002.pgm", "frame_003.pgm", "frame_004.pgm"]
+        if case.command == "phantom":  # the library's phantom, on a grid that is not square
+            expected = mri.make_phantom(12, 10, 4, "moving_ellipse", case.seed)
+            assert np.array_equal(load_tensor(work / "out").slices, expected.slices)
+            assert manifest["parameters"]["kind"] == "moving_ellipse"
         if case.command == "radial":  # the library's mask
             expected = gen_pseudo_radial_mask(12, 10, 4, lines=3, seed=case.seed)
             assert np.array_equal(load_mask(work / "out"), expected.mask)
