@@ -63,8 +63,12 @@ print(f"\ngeneralized solver (decaying thresholds, 60 steps): "
       f"SNR {tt.snr(general.reconstruction, truth):.2f} dB")
 
 # Thresholds can also be set relative to each slice's top singular value
-# through a sigmoid weight; weight -2 keeps roughly the top 12% scale.
-y = tt.adjoint(b)
-taus = tt.relative_thresholds(y, -2.0, tt.make_transform("fft", nt))
-print("relative thresholds at weight -2, per temporal-frequency slice:")
-print("  " + " ".join(f"{tau:.2f}" for tau in taus))
+# through a sigmoid weight a: weight -2 shrinks by about 12% of that value
+# in every iteration. On this data a constant weight of -2 reaches only about
+# 11 dB, below the zero-filled image; the absolute schedule above does better.
+relative = tt.solve_generalized(
+    b, spec, [tt.IterationParams(gamma=10.0, eta=1.0, a=-2.0)] * 20,
+    tt.make_transform("fft", nt), record_history=False,
+)
+print(f"generalized solver (relative thresholds, a = -2, 20 steps): "
+      f"SNR {tt.snr(relative.reconstruction, truth):.2f} dB")

@@ -22,7 +22,6 @@ from .admm import (
     IterationParams,
     IterationStats,
     ReconReport,
-    relative_thresholds,
     solve,
     solve_generalized,
     z_update,
@@ -95,7 +94,7 @@ __all__ = [
     # admm
     "AdmmConfig", "IterationParams", "IterationStats", "ReconReport",
     "z_update",
-    "relative_thresholds", "solve", "solve_generalized",
+    "solve", "solve_generalized",
     # errors
     "TtmriError", "DimensionError", "ParameterError", "UnitarityError",
     "NumericError", "DivergenceError", "DataFormatError",

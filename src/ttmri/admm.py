@@ -48,7 +48,6 @@ from .mri import KSpaceVector, SamplingSpec, _centered_fft2
 from .tensor import ComplexTensor3
 from .transforms import UnitaryTransform
 from .tsvd import _per_slice, _shrink, _threshold_vector, t_tsvt, ttnn
-from .tsvd import transformed_singular_values
 
 __all__ = [
     "MAX_ITERS",
@@ -58,7 +57,6 @@ __all__ = [
     "IterationStats",
     "ReconReport",
     "z_update",
-    "relative_thresholds",
     "solve",
     "solve_generalized",
 ]
@@ -187,19 +185,6 @@ def _relative_weights(a, nt: int | None) -> np.ndarray:
     if np.isnan(weights).any():
         raise ParameterError("relative weights must not be NaN")
     return np.array([_sigmoid(v) for v in weights.tolist()])
-
-
-def relative_thresholds(
-    y: ComplexTensor3, a, transform: UnitaryTransform
-) -> np.ndarray:
-    """Per-slice thresholds ``sigmoid(a_i) * max(sigma of slice i)``.
-
-    The solvers apply the same thresholds from the singular values of
-    their single shrinkage SVD; this is the standalone form.
-    """
-    weights = _relative_weights(a, y.dims[2])
-    svals = transformed_singular_values(y, transform)
-    return weights * svals.max(axis=1)
 
 
 def _iterate(state, b: KSpaceVector, index: np.ndarray, transform: UnitaryTransform,

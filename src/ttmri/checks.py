@@ -348,14 +348,16 @@ def _centered_fft2_oracle(stack, inverse=False):
 def _image_space_step(x, l, b, spec, transform, params, relaxation=admm.RELAXATION):
     """One ADMM iteration in image space, with an image-sized multiplier: ``(Z, X_new, L_new)``.
 
-    ``Z`` is ``t_tsvt`` of ``X + L`` at ``params.tau``, or at the ``relative_thresholds`` of
-    ``params.a``. With ``alpha = relaxation`` if ``params.eta`` is 1 and 1 otherwise,
-    ``Zr = alpha Z + (1 - alpha) X``; ``X_new`` solves the normal equations
-    ``(gamma A^H A + 1) X_new = gamma A^H b + Zr - L`` through :func:`_centered_fft2_oracle`,
-    and ``L_new = L - eta (Zr - X_new)``.
+    ``Z`` is ``t_tsvt`` of ``X + L`` at ``params.tau``, or at ``sigmoid(a_i)`` times the
+    largest transformed singular value of slice ``i``. With ``alpha = relaxation`` if
+    ``params.eta`` is 1 and 1 otherwise, ``Zr = alpha Z + (1 - alpha) X``; ``X_new`` solves
+    the normal equations ``(gamma A^H A + 1) X_new = gamma A^H b + Zr - L`` through
+    :func:`_centered_fft2_oracle`, and ``L_new = L - eta (Zr - X_new)``.
     """
     y = x + l
-    tau = params.tau if params.a is None else admm.relative_thresholds(y, params.a, transform)
+    tau = params.tau if params.a is None else (
+        admm._relative_weights(params.a, y.dims[2])
+        * tsvd.transformed_singular_values(y, transform).max(axis=1))
     z = tsvd.t_tsvt(y, tau, transform)
     alpha = relaxation if params.eta == 1.0 else 1.0
     zr = z * alpha + x * (1.0 - alpha)

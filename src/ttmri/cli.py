@@ -10,21 +10,25 @@ Exit codes:
 
 - 0: success.
 - 2: usage or configuration error: a missing ``--out``; a negative
-  ``--seed`` or ``--threads``; a size below 1; an ``--accel`` of 1 or less;
-  a non-finite ``--accel``, ``--theta0`` or ``--sigma``; ``--matrix-path`` missing for ``--transform
-  matrix`` or given with another transform; a recon config key that is
-  unknown, missing, of the wrong type, not finite, outside the solver's
-  range, or a ``matrix_path`` with a kind other than ``matrix`` (each named
-  in the message); an identically zero ``--ref``.
+  ``--seed`` or ``--threads`` (``threads must be an integer >= 0``); a size
+  below 1; an ``--accel`` of 1 or less; a non-finite ``--accel``,
+  ``--theta0`` or ``--sigma``; ``--matrix-path`` missing for ``--transform
+  matrix`` (``--matrix-path is required for kind 'matrix'``) or given with
+  another transform; a recon config key that is unknown, missing, of the
+  wrong type, not finite, outside the solver's range, or a ``matrix_path``
+  that is empty or comes with a kind other than ``matrix`` (each named in
+  the message); an identically zero ``--ref``.
 - 3: data error: a missing, truncated, undecodable or non-finite input
   file; a config that is not JSON; a mask whose sample count differs from
-  the k-space; a ``--ref`` of other dimensions; a ``--frames-out`` that
-  exists and is not a directory; other I/O failures.
+  the k-space; a ``--ref`` of other dimensions; an ``--out`` whose directory
+  does not exist, or that is a directory (but for ``tsvd``'s prefix); a
+  ``--frames-out`` that is not a directory or lies under a file; an I/O
+  failure while writing.
 - 4: numeric failure: a schedule that diverges mid-solve, a non-unitary or
   non-finite transform matrix, a failed invariant check.
 
-Every exit 2 or 3 above but an I/O failure happens before any output file
-is written and, in ``recon``, before the first iteration.
+Every exit 2 or 3 above but an I/O failure while writing happens before
+any output file is written and, in ``recon``, before the first iteration.
 """
 
 from __future__ import annotations
@@ -106,12 +110,6 @@ def _require_file(path, role):
     return p
 
 
-def _check_frames_dir(path):
-    """Reject a ``--frames-out`` that exists and is not a directory, before any output."""
-    if path and Path(path).exists() and not Path(path).is_dir():
-        raise DataFormatError(f"--frames-out is not a directory: {path}")
-
-
 def _load_spec(mask_path) -> mri.SamplingSpec:
     mask = fileio.load_mask(_require_file(mask_path, "mask"))
     return mri.SamplingSpec(mask, descriptor={"pattern": "file", "path": str(mask_path)})
@@ -164,15 +162,16 @@ def _build(where, make, **kwargs):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _make_transform(kind, nt, matrix_path, role):
-    """Transform ``kind`` of size ``nt``; kind 'matrix' loads ``matrix_path``.
-
-    Callers check that a matrix kind comes with a path, each with its own
-    message; ``role`` names the matrix file in the not-found error.
-    """
+def _make_transform(kind, nt, matrix_path, name):
+    """Transform ``kind`` of size ``nt``; ``matrix_path``, named ``name`` in the errors (a
+    config key or a flag), is given and loaded if and only if ``kind`` is 'matrix'."""
     if kind != "matrix":
+        if matrix_path is not None:
+            raise ParameterError(f"{name} is only for kind 'matrix', not {kind!r}")
         return make_transform(kind, nt)
-    matrix = fileio.load_transform_matrix(_require_file(matrix_path, role))
+    if not matrix_path:
+        raise ParameterError(f"{name} is required for kind 'matrix'")
+    matrix = fileio.load_transform_matrix(_require_file(matrix_path, "matrix"))
     return make_transform("matrix", nt, matrix)
 
 
@@ -184,13 +183,9 @@ def _transform_from_config(entry, nt, key):
     kind = entry["kind"]
     if kind not in KINDS:
         raise ConfigError(f"config key '{key}.kind' must be one of {KINDS}")
-    if kind == "matrix" and "matrix_path" not in entry:
-        raise ConfigError(f"config key '{key}.matrix_path' is required for kind 'matrix'")
-    if kind == "matrix" and not isinstance(entry["matrix_path"], str):
+    if not isinstance(entry.get("matrix_path", ""), str):
         raise ConfigError(f"config key '{key}.matrix_path' must be a string")
-    if kind != "matrix" and "matrix_path" in entry:
-        raise ConfigError(f"config key '{key}.matrix_path' is only for kind 'matrix', not {kind!r}")
-    return _make_transform(kind, nt, entry.get("matrix_path"), "transform matrix")
+    return _make_transform(kind, nt, entry.get("matrix_path"), f"config key '{key}.matrix_path'")
 
 
 def _parse_recon_config(path, nt):
@@ -269,7 +264,6 @@ def _parse_recon_config(path, nt):
 
 
 def _cmd_phantom(args):
-    _check_frames_dir(args.frames_out)
     transform = None
     if args.phantom_transform != "fft":
         transform = make_transform(args.phantom_transform, args.nt)
@@ -325,7 +319,6 @@ def _cmd_recon(args):
         ref = fileio.load_tensor(_require_file(args.ref, "reference"))
         mri._check_reference(spec.dims, ref)
         inputs["ref"] = str(args.ref)
-    _check_frames_dir(args.frames_out)
     mode, seed, solver = _parse_recon_config(_require_file(args.config, "config"), spec.dims[2])
     report = solver(b, spec, threads=args.threads)
     fileio.save_tensor(args.out, report.reconstruction)
@@ -346,13 +339,8 @@ def _cmd_recon(args):
 
 
 def _cmd_tsvd(args):
-    if args.transform == "matrix" and not args.matrix_path:
-        raise ParameterError("--matrix-path is required for --transform matrix")
-    if args.transform != "matrix" and args.matrix_path is not None:
-        raise ParameterError(
-            f"--matrix-path is only for --transform matrix, not {args.transform!r}")
     x = fileio.load_tensor(_require_file(args.tensor, "tensor"))
-    transform = _make_transform(args.transform, x.dims[2], args.matrix_path, "matrix")
+    transform = _make_transform(args.transform, x.dims[2], args.matrix_path, "--matrix-path")
     factors = tsvd.tt_svd(x, transform, threads=args.threads)
     outputs = [f"{args.out}_{name}.t2t" for name in ("U", "S", "V")]
     for path, factor in zip(outputs, (factors.U, factors.S, factors.V)):
@@ -393,22 +381,11 @@ def _cmd_check(args):
     return EXIT_OK if passed == len(results) else EXIT_NUMERIC
 
 
-def _thread_count(text):
-    """argparse type of ``--threads``: a nonnegative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-    return value
-
-
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     common.add_argument(
-        "--threads", type=_thread_count, default=0,
+        "--threads", type=int, default=0,
         help="slice-level worker threads; 0 = sequential reference mode",
     )
     common.add_argument("--out", help="primary output path (prefix for tsvd)")
@@ -478,17 +455,30 @@ def _build_parser():
     return parser
 
 
-_NEEDS_OUT = {"phantom", "mask", "forward", "recon", "tsvd"}
+def _preflight(args):
+    """Check the shared flags and every output path, before the command does any work;
+    ``--out`` is optional for ``metrics`` and ``check``, and a prefix for ``tsvd``."""
+    _check_seed(args.seed)
+    _check_seed(args.threads, "threads")
+    if not args.out:
+        if args.command not in ("metrics", "check"):
+            raise ParameterError(f"--out is required for '{args.command}'")
+    elif not Path(args.out).parent.is_dir():
+        raise DataFormatError(f"--out is not in an existing directory: {args.out}")
+    elif args.command != "tsvd" and Path(args.out).is_dir():
+        raise DataFormatError(f"--out is a directory: {args.out}")
+    frames = getattr(args, "frames_out", None)  # phantom and recon only
+    if frames:  # a directory, or made in its nearest existing ancestor, which must be one
+        nearest = next(p for p in (Path(frames), *Path(frames).parents) if p.exists())
+        if not nearest.is_dir():
+            raise DataFormatError(f"--frames-out is not a directory: {frames}")
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command in _NEEDS_OUT and not args.out:
-        parser.error(f"--out is required for '{args.command}'")
+    args = _build_parser().parse_args(argv)
     args.start = time.perf_counter()
     try:
-        _check_seed(args.seed)
+        _preflight(args)
         return args.func(args)
     except (TtmriError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

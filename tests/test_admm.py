@@ -26,7 +26,6 @@ from ttmri import (
     is_unitary_tensor,
     make_phantom,
     make_transform,
-    relative_thresholds,
     snr,
     solve,
     solve_generalized,
@@ -702,11 +701,11 @@ class TestSolveGeneralized:
         spec, _, b = self._setup(seed=18)
         t = make_transform("fft", 4)
         x0 = adjoint(b)
-        taus = relative_thresholds(x0, -2.0, t)
-        svals = transformed_singular_values(x0, t)
-        assert np.allclose(taus, expit(-2.0) * svals.max(axis=1), rtol=1e-12)
+        weights = IterationParams(gamma=1.0, eta=1.0, a=-2.0)._thresholds(4)
+        assert np.array_equal(weights, np.full(4, expit(-2.0)))
         assert expit(-2.0) == pytest.approx(0.11920292202211755, rel=1e-12)
-        z = t_tsvt(x0, taus, t)
+        svals = transformed_singular_values(x0, t)
+        z = t_tsvt(x0, weights * svals.max(axis=1), t)
         z_svals = transformed_singular_values(z, t)
         for k in range(4):
             if svals[k].max() > 0:
@@ -722,13 +721,10 @@ class TestSolveGeneralized:
         with pytest.raises(error, match=match):
             solve_generalized(b, spec, [IterationParams(gamma=1.0, eta=1.0, a=a)], t)
         with pytest.raises(error, match=match):
-            relative_thresholds(adjoint(b), a, t)
+            IterationParams(gamma=1.0, eta=1.0, a=a)._thresholds(4)
 
     def test_relative_thresholds_match_expit_bitwise(self):
         rng = np.random.default_rng(28)
-        t = make_transform("dct", 64)
-        y = rand_tensor(rng, (5, 4, 64))
-        svals_max = transformed_singular_values(y, t).max(axis=1)
         edges = [-800.0, 800.0, -745.2, 709.8, -36.8, 36.8, -1e-300, 0.0, 5e-324]
         weights = [
             np.resize(edges, 64),
@@ -739,7 +735,8 @@ class TestSolveGeneralized:
             800.0,
         ]
         for a in weights:
-            assert np.array_equal(relative_thresholds(y, a, t), expit(a) * svals_max)
+            thresholds = IterationParams(gamma=1.0, eta=1.0, a=a)._thresholds(64)
+            assert np.array_equal(thresholds, np.broadcast_to(expit(a), 64))
 
     def test_empty_schedule(self):
         spec, _, b = self._setup(seed=21)

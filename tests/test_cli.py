@@ -382,7 +382,7 @@ _NOT_STRINGS = {"null": None, "number": 3, "list": ["u.t2m"]}
 # Name: (commands, changes planted, exit code, message fragment).
 _FAULTS = {
     **_each("--seed", (-1,), "seed must be an integer >= 0", (*_COMMANDS, "check")),
-    **_each("--threads", (-1, -3), "must be a nonnegative integer"),
+    **_each("--threads", (-1, -3), "threads must be an integer >= 0"),
     **_each("--nx", (0, -1, -3), "nx must be an integer >= 1", _GENERATORS),
     **_each("--ny", (0, -1, -3), "ny must be an integer >= 1", _GENERATORS),
     **_each("--nt", (0, -1, -3), "nt must be an integer >= 1", _GENERATORS),
@@ -391,12 +391,20 @@ _FAULTS = {
     **_each("--sigma", (np.nan, np.inf), "noise level must be finite", ("forward",)),
     "out-missing": (_NEEDS_OUT, {"--out": _DROP}, 2, "--out is required"),
     "matrix-path-missing": (_T, {"--transform": "matrix", "--matrix-path": _DROP}, 2,
-                            "--matrix-path is required for --transform matrix"),
+                            "--matrix-path is required for kind 'matrix'"),
     "matrix-path-empty": (_T, {"--transform": "matrix", "--matrix-path": ""}, 2,
-                          "--matrix-path is required for --transform matrix"),
+                          "--matrix-path is required for kind 'matrix'"),
     "matrix-path-unused": (_T, {"--transform": "fft", "--matrix-path": "u.t2m"}, 2,
-                           "--matrix-path is only for --transform matrix, not 'fft'"),
+                           "--matrix-path is only for kind 'matrix', not 'fft'"),
+    # Output paths, checked before any work
+    "out-no-dir": ((*_COMMANDS, "check"), {"--out": lambda inv, old: inv.work / "missing" / "out"},
+                   3, "--out is not in an existing directory: "),
+    "out-dir": ((*_GENERATORS, *_RECON, "forward", "metrics", "check"),
+                {"--out": lambda inv, old: inv.work}, 3, "--out is a directory: "),
     "frames-out-file": (("phantom", *_RECON), {"--frames-out": _bytes(b"")}, 3, "not a directory"),
+    "frames-out-under-file": (("phantom", *_RECON),
+                              {"--frames-out": lambda inv, old: _bytes(b"")(inv, old) / "sub"}, 3,
+                              "--frames-out is not a directory: "),
     # Input files
     "file-absent": (_READERS, {"tensor": lambda inv, old: inv.work / "absent"}, 3, "not found"),
     "file-corrupt": (_READERS, {"tensor": _bytes(b"garbage")}, 3, "truncated header"),
@@ -450,6 +458,8 @@ _FAULTS = {
     **{f"schedule-{name}": (_G, {"schedule.1.transform": {"kind": "matrix", "matrix_path": path}},
                             2, "config key 'schedule[1].transform.matrix_path' must be a string")
        for name, path in _NOT_STRINGS.items()},
+    "matrix_path-empty": (_RECON, {"transform.kind": "matrix", "transform.matrix_path": ""}, 2,
+                          "config key 'transform.matrix_path' is required for kind 'matrix'"),
     "matrix_path-unused": (_RECON, {"transform.kind": "fft", "transform.matrix_path": "u.t2m"}, 2,
                            "key 'transform.matrix_path' is only for kind 'matrix', not 'fft'"),
     "schedule-matrix_path-unused": (_G, {"schedule.1.transform.matrix_path": "u.t2m"}, 2,
@@ -548,7 +558,7 @@ def _check_contract(files, case):
 def _cases(draw):
     fault = draw(st.none() | st.sampled_from(sorted(_FAULTS)))
     commands = _FAULTS[fault][0] if fault else _COMMANDS
-    return _Case(draw(st.sampled_from([c for c in commands if c != "check"])), fault,
+    return _Case(draw(st.sampled_from(commands)), fault,
                  seed=draw(st.integers(0, 2**32 - 1)), threads=draw(st.sampled_from((0, 2))),
                  kind=draw(st.sampled_from(KINDS)), frames=draw(st.booleans()))
 
@@ -563,6 +573,8 @@ def _cases(draw):
 @example(case=_Case("generalized", "rel_tol--1"))
 @example(case=_Case("phantom", "frames-out-file"))
 @example(case=_Case("recon", "frames-out-file"))
+@example(case=_Case("recon", "out-no-dir"))
+@example(case=_Case("metrics", "out-no-dir"))
 def test_input_contract(files, case):
     _check_contract(files, case)
 

@@ -25,7 +25,7 @@ def test_star_import_runs():
 # admm._iterate; the image-space step is checks._image_space_step, an oracle.
 # The (n3, n1, n2) slice stack is the block-diagonal matrix of the
 # transformed slices, with no view of its own.
-_RETIRED_STEPS = {"x_update_cartesian", "l_update"}
+_RETIRED_STEPS = {"x_update_cartesian", "l_update", "relative_thresholds"}
 _RETIRED_VIEWS = {"BlockDiagView", "bdiag", "fold"}
 
 
